@@ -16,7 +16,8 @@ into array programs, each bit-identical to the Python reference it replaces
 
 * :class:`CompiledRouteTable` — one CSR route matrix per topology: per
   node pair, offsets into flat ``link_idx`` / ``width`` / ``cls_idx``
-  arrays, plus an interned hop-signature id and a ``uses_nic`` flag.
+  arrays, plus an interned hop-signature id and a ``uses_nic`` flag, held
+  in growable NumPy buffers that each step's unseen pairs append to.
   :meth:`CompiledRouteTable.profile_step_arrays` collapses a whole step
   with gathers, ``np.bincount`` and ``np.add.at`` — zero per-transfer
   Python.  Link-load contributions are expanded in exactly the
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -250,7 +251,7 @@ def clear_table_cache() -> None:
 
 @dataclass(frozen=True, eq=False)
 class _CsrArrays:
-    """Materialized CSR view of an interned route set."""
+    """CSR view of an interned route set (prefix views of the live buffers)."""
 
     #: (num_pairs + 1,) offsets into the flat link columns
     off: np.ndarray
@@ -272,6 +273,17 @@ def _expand_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
+def _grown(buf: np.ndarray, need: int) -> np.ndarray:
+    """``buf`` if it holds ``need`` rows, else a zero-padded copy of at
+    least twice its capacity (amortized O(1) appends)."""
+    cap = buf.shape[0]
+    if need <= cap:
+        return buf
+    out = np.zeros((max(need, 2 * cap),) + buf.shape[1:], dtype=buf.dtype)
+    out[:cap] = buf
+    return out
+
+
 class CompiledRouteTable:
     """Interned minimal routes for one topology, in CSR layout.
 
@@ -284,6 +296,11 @@ class CompiledRouteTable:
     adapts the generator-based calling convention so the analytic profile
     builders (:mod:`repro.model.analytic`) run through the same kernel
     unchanged.
+
+    Interning is linear in the number of pairs: :meth:`resolve` routes a
+    step's unseen pairs in one :meth:`_intern_batch`, which appends them to
+    NumPy buffers that double their capacity when full, and :meth:`_csr`
+    hands out prefix views of those buffers without copying.
     """
 
     def __init__(self, topo: Topology):
@@ -298,85 +315,122 @@ class CompiledRouteTable:
         #: latency signatures
         self.sig_tuples: list[tuple] = []
         self._sig_ids: dict[tuple, int] = {}
-        # growing build-side state; re-materialized into _CsrArrays lazily
-        self._flat_link: list[int] = []
-        self._flat_width: list[float] = []
-        self._flat_cls: list[int] = []
-        self._off: list[int] = [0]
-        self._pair_sig: list[int] = []
-        self._pair_nic: list[bool] = []
-        self._pair_hops: list[dict[int, int]] = []
-        self._arrays: _CsrArrays | None = None
+        # growable CSR buffers: the first _num_pairs pairs (+1 offset) and
+        # _num_rows flat route rows are live
+        self._num_pairs = 0
+        self._num_rows = 0
+        self._off = np.zeros(1, dtype=np.intp)
+        self._link = np.zeros(0, dtype=np.intp)
+        self._width = np.zeros(0, dtype=np.float64)
+        self._cls = np.zeros(0, dtype=np.intp)
+        self._sig = np.zeros(0, dtype=np.intp)
+        self._nic = np.zeros(0, dtype=bool)
+        #: one column per link class seen so far
+        self._hops = np.zeros((0, 0), dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._pair_sig)
+        return self._num_pairs
 
-    def _intern_pair(self, a: int, b: int) -> int:
-        route = self.topo.route(a, b)
-        hops: dict[str, int] = {}
-        cls_row: dict[int, int] = {}
-        uses_nic = False
-        for link in route:
-            li = self._link_ids.get(link.key)
-            if li is None:
-                li = self._link_ids[link.key] = len(self._link_ids)
-            ci = self._cls_ids.get(link.cls)
-            if ci is None:
-                ci = self._cls_ids[link.cls] = len(self._cls_ids)
-                self.cls_names.append(link.cls)
-            self._flat_link.append(li)
-            self._flat_width.append(float(link.width))
-            self._flat_cls.append(ci)
-            hops[link.cls] = hops.get(link.cls, 0) + 1
-            cls_row[ci] = cls_row.get(ci, 0) + 1
-            if link.cls != LinkClass.INTRA:
-                uses_nic = True
-        self._off.append(len(self._flat_link))
-        sig = tuple(sorted(hops.items()))
-        sid = self._sig_ids.get(sig)
-        if sid is None:
-            sid = self._sig_ids[sig] = len(self._sig_ids)
-            self.sig_tuples.append(sig)
-        pid = len(self._pair_sig)
-        self._pair_sig.append(sid)
-        self._pair_nic.append(uses_nic)
-        self._pair_hops.append(cls_row)
-        self._pair_pid[a * self._num_nodes + b] = pid
-        self._arrays = None
-        return pid
+    def _intern_batch(self, keys: list[int]) -> None:
+        """Route and intern the unseen pair keys ``keys``, in order.
+
+        Every ``topo.route`` call happens before any state changes, so a
+        :class:`~repro.runtime.errors.TopologyPartitionedError` raised
+        partway leaves the table exactly as it was.
+        """
+        n = self._num_nodes
+        routes = [self.topo.route(k // n, k % n) for k in keys]
+        link_ids, cls_ids = self._link_ids, self._cls_ids
+        link_col: list[int] = []
+        width_col: list[float] = []
+        cls_col: list[int] = []
+        for route in routes:
+            for link in route:
+                li = link_ids.get(link.key)
+                if li is None:
+                    li = link_ids[link.key] = len(link_ids)
+                ci = cls_ids.get(link.cls)
+                if ci is None:
+                    ci = cls_ids[link.cls] = len(cls_ids)
+                    self.cls_names.append(link.cls)
+                link_col.append(li)
+                width_col.append(link.width)
+                cls_col.append(ci)
+
+        m = len(keys)
+        n_cls = len(self.cls_names)
+        lens = np.fromiter(map(len, routes), np.intp, m)
+        cls_arr = np.asarray(cls_col, dtype=np.intp)
+        pair_of_row = np.repeat(np.arange(m, dtype=np.intp), lens)
+        hops = np.bincount(
+            pair_of_row * n_cls + cls_arr, minlength=m * n_cls
+        ).reshape(m, n_cls)
+        inter = [c != LinkClass.INTRA for c in self.cls_names]
+        nic = hops[:, inter].any(axis=1)
+        # hop signatures: (class, count) pairs sorted by class name
+        order = sorted(range(n_cls), key=self.cls_names.__getitem__)
+        names = [self.cls_names[c] for c in order]
+        sig = np.empty(m, dtype=np.intp)
+        sig_ids = self._sig_ids
+        for i, row in enumerate(hops[:, order].tolist()):
+            t = tuple((name, h) for name, h in zip(names, row) if h)
+            sid = sig_ids.get(t)
+            if sid is None:
+                sid = sig_ids[t] = len(sig_ids)
+                self.sig_tuples.append(t)
+            sig[i] = sid
+
+        p0, r0 = self._num_pairs, self._num_rows
+        p1, r1 = p0 + m, r0 + len(cls_col)
+        self._off = _grown(self._off, p1 + 1)
+        self._off[p0 + 1 : p1 + 1] = r0 + np.cumsum(lens)
+        self._link = _grown(self._link, r1)
+        self._link[r0:r1] = link_col
+        self._width = _grown(self._width, r1)
+        self._width[r0:r1] = width_col
+        self._cls = _grown(self._cls, r1)
+        self._cls[r0:r1] = cls_arr
+        self._sig = _grown(self._sig, p1)
+        self._sig[p0:p1] = sig
+        self._nic = _grown(self._nic, p1)
+        self._nic[p0:p1] = nic
+        new_cols = n_cls - self._hops.shape[1]
+        if new_cols:  # a new link class: add its column
+            self._hops = np.pad(self._hops, ((0, 0), (0, new_cols)))
+        self._hops = _grown(self._hops, p1)
+        self._hops[p0:p1] = hops
+        self._pair_pid.update(zip(keys, range(p0, p1)))
+        self._num_pairs, self._num_rows = p1, r1
 
     def resolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pair ids for node arrays ``a → b``, interning unseen pairs."""
         keys = a * self._num_nodes + b
         uniq, inv = np.unique(keys, return_inverse=True)
-        pids = np.empty(uniq.size, dtype=np.intp)
-        get = self._pair_pid.get
-        n = self._num_nodes
-        for i, k in enumerate(uniq.tolist()):
-            pid = get(k)
-            if pid is None:
-                pid = self._intern_pair(k // n, k % n)
-            pids[i] = pid
+        ukeys = uniq.tolist()
+        pids = np.fromiter(
+            map(self._pair_pid.get, ukeys, repeat(-1)), np.intp, len(ukeys)
+        )
+        unseen = pids < 0
+        misses = int(unseen.sum())
+        if misses:
+            p0 = self._num_pairs
+            self._intern_batch(uniq[unseen].tolist())
+            pids[unseen] = np.arange(p0, p0 + misses)
+        obs.inc("cache.route.hit", len(ukeys) - misses)
+        obs.inc("cache.route.miss", misses)
         return pids[inv]
 
     def _csr(self) -> _CsrArrays:
-        arrays = self._arrays
-        if arrays is None:
-            n_cls = len(self.cls_names)
-            hops = np.zeros((len(self._pair_hops), n_cls), dtype=np.int64)
-            for pid, row in enumerate(self._pair_hops):
-                for ci, h in row.items():
-                    hops[pid, ci] = h
-            arrays = self._arrays = _CsrArrays(
-                off=np.asarray(self._off, dtype=np.intp),
-                link=np.asarray(self._flat_link, dtype=np.intp),
-                width=np.asarray(self._flat_width, dtype=np.float64),
-                cls=np.asarray(self._flat_cls, dtype=np.intp),
-                sig=np.asarray(self._pair_sig, dtype=np.intp),
-                nic=np.asarray(self._pair_nic, dtype=bool),
-                hops=hops,
-            )
-        return arrays
+        n, r = self._num_pairs, self._num_rows
+        return _CsrArrays(
+            off=self._off[: n + 1],
+            link=self._link[:r],
+            width=self._width[:r],
+            cls=self._cls[:r],
+            sig=self._sig[:n],
+            nic=self._nic[:n],
+            hops=self._hops[:n],
+        )
 
     def profile_step(self, transfers, local_ops, node_of, groups) -> StepProfile:
         """Generator-convention adapter (the analytic builders' entry).

@@ -14,10 +14,13 @@ order-invariant, batch == scalar loop, winner == argmin), not shrinking.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from repro.analysis.sweep import SweepRecord
 from repro.faults import HEAL_TARGETS, FaultTimeline, TimelineEvent
+from repro.topology.mapping import RankMap, hostname_sorted
+
+T = TypeVar("T")
 
 #: plausible algorithm inventory per family, mirroring the registry's shape
 FAMILIES = {
@@ -138,11 +141,21 @@ def timeline(rng: random.Random, *, max_events: int = 4) -> FaultTimeline:
     return FaultTimeline(tuple(timeline_event(rng, at) for at in sorted(ats)))
 
 
-def shuffled(records: Sequence[SweepRecord], rng: random.Random) -> list[SweepRecord]:
+def shuffled(items: Sequence[T], rng: random.Random) -> list[T]:
     """An independently shuffled copy (the metamorphic transform)."""
-    out = list(records)
+    out = list(items)
     rng.shuffle(out)
     return out
+
+
+def rank_map(rng: random.Random, num_nodes: int, p: int, ppn: int = 1) -> RankMap:
+    """A scattered ``p``-rank, ``ppn``-per-node placement on ``num_nodes``.
+
+    Like a scheduler allocation: random nodes, hostname-sorted, filled
+    block-wise; a non-multiple ``p`` leaves the last node part-filled.
+    """
+    nodes = rng.sample(range(num_nodes), -(-p // ppn))
+    return RankMap(hostname_sorted(nodes, ppn).nodes[:p])
 
 
 def queries_for(

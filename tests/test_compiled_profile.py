@@ -40,6 +40,8 @@ from repro.runtime.schedule import schedule_validation
 from repro.systems import fugaku, lumi
 from repro.topology.mapping import block_mapping
 
+from strategies import rank_map, rng_for, shuffled
+
 RANK_COUNTS = (4, 8, 16, 17, 32)
 #: geometric size grid (the paper's 32 B ... 512 MiB ladder, thinned)
 N_BYTES = tuple(32 * 8**k for k in range(0, 9, 2))
@@ -116,6 +118,63 @@ class TestStepProfileEquivalence:
         sched = ALGORITHMS[("bcast", "bine")].build(8, 8)
         with pytest.raises(ValueError, match="8"):
             profile_table(lower_schedule(sched), topo, block_mapping(4))
+
+
+class TestRouteInterningHistory:
+    """A profile must not depend on what the route table interned before.
+
+    The sweep shares one :class:`CompiledRouteTable` across every
+    algorithm of a campaign, and serial, ``--workers`` and resumed runs
+    visit cells in different orders, so the same schedule meets tables
+    with different interning histories (pair, link and signature ids in
+    a different order).  Every history must give the same profiles.
+    """
+
+    @staticmethod
+    def _assert_csr_is_view(routes):
+        csr = routes._csr()
+        for name in ("off", "link", "width", "cls", "sig", "nic", "hops"):
+            col, buf = getattr(csr, name), getattr(routes, "_" + name)
+            if buf.size:
+                assert np.shares_memory(col, buf), f"_csr().{name} is a copy"
+
+    @pytest.mark.parametrize("ppn", [1, 2])
+    @pytest.mark.parametrize("p", [8, 17, 64])
+    def test_profiles_independent_of_interning_order(self, p, ppn):
+        rng = rng_for(100 * p + ppn)
+        topo = lumi().build_topology()
+        mapping = rank_map(rng, topo.num_nodes, p, ppn)
+        tables = {
+            (coll, name): lower_schedule(sched)
+            for coll, name, sched in _buildable_schedules(p)
+        }
+        fresh = {
+            key: profile_table(table, topo, mapping)
+            for key, table in tables.items()
+        }
+        # one table pre-warmed by the other algorithms, in shuffled order
+        shared = CompiledRouteTable(topo)
+        for key in shuffled(sorted(tables), rng):
+            assert profile_table(
+                tables[key], topo, mapping, routes=shared
+            ) == fresh[key], f"{key} on a pre-warmed table"
+        self._assert_csr_is_view(shared)
+        # a table that interned every pair alone, one resolve per pair
+        nodes = np.asarray(mapping.nodes, dtype=np.intp)
+        pairs = sorted({
+            (int(a), int(b))
+            for table in tables.values()
+            for a, b in zip(nodes[table.src], nodes[table.dst])
+        })
+        single = CompiledRouteTable(topo)
+        for a, b in shuffled(pairs, rng):
+            single.resolve(np.array([a]), np.array([b]))
+        assert len(single) == len(shared) == len(pairs)
+        for key, table in tables.items():
+            assert profile_table(
+                table, topo, mapping, routes=single
+            ) == fresh[key], f"{key} on a pair-by-pair table"
+        self._assert_csr_is_view(single)
 
 
 class TestEvaluateGrid:

@@ -8,15 +8,19 @@ profile engines, serial/parallel execution, and cold/warm disk caches.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.sweep import ProfileCache, SweepRecord, sweep_system
 from repro.cli.manifest import ManifestError, manifest_from_dict, manifest_to_dict
+from repro.collectives.registry import ALGORITHMS
 from repro.faults import NIC_DERATE, DegradedTopology, FaultSpec
+from repro.model.compiled import CompiledRouteTable, lower_schedule, profile_table
 from repro.runtime.errors import FaultSpecError, TopologyPartitionedError
 from repro.systems import fugaku, lumi, marenostrum5
 from repro.topology.base import LinkClass
 from repro.topology.dragonfly import Dragonfly
+from repro.topology.mapping import allocation_mapping
 
 
 class TestFaultSpec:
@@ -135,6 +139,36 @@ class TestDegradedTopology:
         assert topo.group_of(src) != topo.group_of(dst)
         with pytest.raises(TopologyPartitionedError, match="no surviving route"):
             topo.route(src, dst)
+
+    def test_partitioned_batch_leaves_route_table_unchanged(self):
+        # a step whose unseen pairs route fine until one hits a down node
+        # must not leave part of the batch interned
+        topo = DegradedTopology(Dragonfly(8, 8), FaultSpec(seed=5, failed_nodes=1))
+        (down,) = topo.failed_nodes
+        healthy = [v for v in range(topo.num_nodes) if v != down]
+        table = lower_schedule(ALGORITHMS[("allreduce", "bine-rsag")].build(8, 8))
+        routes = CompiledRouteTable(topo)
+        profile_table(table, topo, allocation_mapping(healthy[:8]), routes=routes)
+        columns = ("off", "link", "width", "cls", "sig", "nic", "hops")
+        csr = routes._csr()
+        before = {name: getattr(csr, name).copy() for name in columns}
+        pair_ids = dict(routes._pair_pid)
+        # pair keys sort src-major, so the unseen healthy pair (src, dst)
+        # routes before (src, down) raises
+        src, dst = healthy[-1], healthy[0]
+        assert dst < down
+        with pytest.raises(TopologyPartitionedError):
+            routes.resolve(np.array([src, src]), np.array([down, dst]))
+        assert len(routes) == len(pair_ids)
+        assert routes._pair_pid == pair_ids
+        after = routes._csr()
+        for name in columns:
+            assert np.array_equal(getattr(after, name), before[name]), name
+        # the table keeps serving healthy pairs exactly like a fresh one
+        mapping = allocation_mapping(sorted([dst, *healthy[20:26], src]))
+        assert profile_table(table, topo, mapping, routes=routes) == profile_table(
+            table, topo, mapping
+        )
 
     def test_torus_has_no_global_links(self):
         with pytest.raises(FaultSpecError, match="global links"):

@@ -27,6 +27,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.sweep import (
+    ProfileCache,
     clear_memo_caches,
     memo_cache_registry,
     memo_cache_sizes,
@@ -144,6 +145,25 @@ class TestMetricsRegistry:
         assert counters["cache.profile.miss"] >= 1
         assert counters["cache.profile.hit"] >= 1
         assert counters["cache.table.miss"] >= 1
+
+    def test_route_miss_counter_counts_interned_pairs(self):
+        # cache.route.miss is a host-free work counter: every cold serial
+        # run interns the same node pairs, one miss per pair
+        kwargs = dict(
+            collectives=("allgather", "alltoall"), node_counts=(16, 64),
+            vector_bytes=(1024,),
+        )
+        misses = []
+        for _ in range(2):
+            clear_memo_caches()
+            preset = lumi()
+            cache = ProfileCache(preset)
+            sweep_system(preset, cache=cache, **kwargs)
+            counters = obs.counters()
+            assert counters["cache.route.miss"] == len(cache.croutes)
+            assert counters["cache.route.hit"] > 0
+            misses.append(counters["cache.route.miss"])
+        assert misses[0] == misses[1] > 0
 
     def test_caches_does_not_combine_with_file(self, capsys):
         assert main(["stats", "--caches", "some.json"]) == 2

@@ -234,7 +234,8 @@ class TestDiskCache:
         cold = self._sweep(tmp_path)
         for f in (tmp_path / "cache").rglob("*.pkl"):
             f.write_bytes(b"not a pickle")
-        rebuilt = self._sweep(tmp_path)
+        with pytest.warns(RuntimeWarning, match="profile cache"):
+            rebuilt = self._sweep(tmp_path)
         assert cold == rebuilt
 
 

@@ -16,6 +16,8 @@ from repro.collectives.butterfly_collectives import allgather_butterfly
 from repro.collectives.registry import build
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
 from repro.core.butterfly import bine_butterfly_doubling
+from repro.model.analytic import pairwise_alltoall_profile
+from repro.model.compiled import CompiledRouteTable
 from repro.model.simulator import profile_schedule
 from repro.runtime.compiled import compile_plan
 from repro.runtime.executor import execute
@@ -25,6 +27,8 @@ from repro.topology.mapping import block_mapping
 
 #: generous ceiling — the pre-fix pipeline exceeded it several times over
 BUDGET_S = 5.0
+#: route-interning ceiling for the p=1024 pairwise alltoall cell
+ROUTE_BUDGET_S = 1.5
 
 
 def test_256_rank_allgather_build_profile_under_budget():
@@ -105,4 +109,25 @@ def test_1024_rank_compiled_oracle_absolute_budget():
         elapsed = time.perf_counter() - t0
     assert elapsed < BUDGET_S, (
         f"compile+verify took {elapsed:.2f}s (budget {BUDGET_S}s)"
+    )
+
+
+def test_1024_rank_pairwise_alltoall_routing_under_budget():
+    """Analytic pairwise alltoall at p=1024 interns ~32k node pairs, one
+    step's batch at a time, into a fresh CSR route table.  Interning must
+    stay linear in the number of pairs: when every new batch rebuilt the
+    whole route matrix this cell took 0.5-2.4 s depending on the host;
+    batch appends into growable buffers take ~0.25 s.  The ceiling is
+    six times that.
+    """
+    topo = lumi().build_topology()
+    mapping = block_mapping(1024)
+    routes = CompiledRouteTable(topo)
+    t0 = time.perf_counter()
+    profile = pairwise_alltoall_profile(1024, topo, mapping, routes=routes)
+    elapsed = time.perf_counter() - t0
+    assert len(profile.steps) == 1023
+    assert len(routes) > 30_000
+    assert elapsed < ROUTE_BUDGET_S, (
+        f"pairwise alltoall p=1024 took {elapsed:.2f}s (budget {ROUTE_BUDGET_S}s)"
     )
