@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from repro.analysis.sweep import ProfileCache, sweep_system
 from repro.model.cost import CostParams
-from repro.model.simulator import evaluate_time, profile_schedule
+from repro.model import evaluate_time, profile_schedule
 from repro.collectives.torus import (
     torus_bine_allreduce,
     torus_bine_allreduce_multiport,

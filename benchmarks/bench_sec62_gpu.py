@@ -8,7 +8,7 @@ NCCL stand-in here is a ring allreduce over the same GPU-clique topology.
 
 from repro.collectives.composed import hierarchical_allreduce_bine
 from repro.collectives.registry import build
-from repro.model.simulator import evaluate_time, profile_schedule
+from repro.model import evaluate_time, profile_schedule
 from repro.systems import marenostrum5
 from repro.topology.hierarchical import MultiRankNodes
 from repro.topology.mapping import block_mapping

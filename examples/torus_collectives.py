@@ -16,7 +16,7 @@ from repro.collectives.torus import (
 from repro.collectives.verify import run_and_check
 from repro.core.bine_tree import bine_tree_distance_halving
 from repro.core.torus_opt import TorusShape, torus_bine_tree
-from repro.model.simulator import evaluate_time, profile_schedule
+from repro.model import evaluate_time, profile_schedule
 from repro.systems import fugaku
 from repro.topology.mapping import block_mapping
 from repro.topology.torus import Torus

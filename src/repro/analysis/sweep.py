@@ -21,8 +21,9 @@ numbers produced:
   override with ``REPRO_VALIDATE=1``) — sweeps rebuild known-good schedules
   in bulk;
 * ν-label / π permutation tables are memoized per ``p`` in the core layer;
-* one :class:`~repro.model.simulator.RouteTable` per :class:`ProfileCache`
-  shares node-pair routes across every algorithm and mapping of a campaign;
+* one :class:`~repro.model.compiled.CompiledRouteTable` per
+  :class:`ProfileCache` shares node-pair routes across every algorithm and
+  mapping of a campaign;
 * an optional on-disk profile cache (``disk_dir=``) persists
   :class:`~repro.model.simulator.ScheduleProfile` objects across processes,
   keyed by ``(system, placement, seed, busy_fraction, faults, collective,
@@ -51,7 +52,7 @@ A spec with a :class:`~repro.faults.FaultTimeline` additionally requires
 replays the timeline's mid-run failures/heals while executing the
 lowered transfer program, and its records carry the timeline label plus
 a ``stalled`` flag.  With an empty timeline the DES engine reproduces
-the analytic engines bit for bit (the calibration contract).
+the compiled engine bit for bit (the calibration contract).
 
 ``sweep_system(..., cell_sink=...)`` wires the sweep into the campaign
 record journal (:mod:`repro.checkpoint`): every finished ``(collective,
@@ -82,18 +83,13 @@ from repro.model.analytic import ANALYTIC_PROFILES, ANALYTIC_THRESHOLD
 from repro.model.compiled import (
     CompiledRouteTable,
     evaluate_grid,
-    lower_schedule,
+    profile_schedule,
     profile_table,
     resolve_profile_engine,
     transfer_table_for,
 )
 from repro.model.cost import CostParams
-from repro.model.simulator import (
-    RouteTable,
-    ScheduleProfile,
-    evaluate_time,
-    profile_schedule,
-)
+from repro.model.simulator import ScheduleProfile
 from repro.faults import DegradedTopology, FaultSpec
 from repro import obs
 from repro.checkpoint.drain import drain_requested
@@ -309,9 +305,12 @@ class ProfileCache:
     hostname-sorted scheduler allocation (the paper's operating conditions);
     ``"block"`` uses the idealised node ``r // ppn`` mapping.
 
-    All profiles share one :class:`RouteTable` (node-pair routes depend only
-    on the topology), and schedule builders run with validation switched
-    off — the sweep rebuilds schedules the test suite already validates.
+    Each schedule lowers once into a memoized
+    :class:`~repro.model.compiled.TransferTable`, and all profiles share
+    one CSR :class:`~repro.model.compiled.CompiledRouteTable` (node-pair
+    routes depend only on the topology).  Schedule builders run with
+    validation switched off — the sweep rebuilds schedules the test suite
+    already validates.
 
     ``disk_dir`` enables a persistent second-level cache: profiles are
     pickled under ``disk_dir`` keyed by ``(system, placement, seed,
@@ -327,17 +326,12 @@ class ProfileCache:
     (the parallel-shard path), its spec governs and ``faults`` must be
     omitted.
 
-    ``profile_engine`` picks the profiling backend: ``"compiled"`` (the
-    default) lowers each schedule once into a memoized
-    :class:`~repro.model.compiled.TransferTable` and profiles it through a
-    CSR :class:`~repro.model.compiled.CompiledRouteTable`; ``"python"`` is
-    the scalar reference path.  Profiles are bit-identical either way
-    (asserted in ``tests/test_compiled_profile.py``), so both engines share
-    one disk-cache namespace.  ``"des"`` profiles like ``"compiled"`` but
+    ``profile_engine`` picks the evaluation backend: ``"compiled"`` (the
+    default) evaluates analytically; ``"des"`` profiles the same way but
     *evaluates* by discrete-event simulation (:mod:`repro.des`) — it is
     required (and the only engine allowed) when the fault spec carries a
-    :class:`~repro.faults.FaultTimeline`, and shares the compiled disk
-    namespace because profiles are static-fabric artifacts.
+    :class:`~repro.faults.FaultTimeline`, and the two engines share one
+    disk-cache namespace because profiles are static-fabric artifacts.
     """
 
     def __init__(
@@ -376,11 +370,7 @@ class ProfileCache:
                 f"profile_engine='des'; the {self.engine!r} engine scores a "
                 "static fabric and cannot replay mid-run events"
             )
-        self.routes = RouteTable(self.topo)
-        self.croutes = (
-            CompiledRouteTable(self.topo)
-            if self.engine in ("compiled", "des") else None
-        )
+        self.routes = CompiledRouteTable(self.topo)
         self._cache: dict[tuple, ScheduleProfile | None] = {}
         self._mappings: dict[tuple[int, int], RankMap] = dict(mappings or {})
         self._sampler = None
@@ -478,56 +468,31 @@ class ProfileCache:
     def _build(
         self, spec: AlgorithmSpec, p: int, ppn: int, mapping: RankMap
     ) -> ScheduleProfile | None:
-        compiled = self.engine in ("compiled", "des")
         analytic = ANALYTIC_PROFILES.get((spec.collective, spec.name))
         # alltoall always uses the analytic (packed-implementation) profiles
         # so small and large rank counts are modelled consistently.
         if analytic is not None and (p > ANALYTIC_THRESHOLD or spec.collective == "alltoall"):
             if spec.pow2_only and p & (p - 1):
                 return None
-            routes = self.croutes if compiled else self.routes
             with obs.span(
                 "profile.analytic",
                 collective=spec.collective,
                 algorithm=spec.name,
                 p=p,
             ):
-                return analytic(p, self.topo, mapping, routes=routes)
-        if compiled:
-            # schedules lower once per (collective, algorithm, p) — the
-            # table is shared across systems, placements and seeds
-            table = transfer_table_for(spec, p)
-            if table is None:
-                return None  # constraint (pow2/divisibility) not met
-            with obs.span(
-                "profile.table",
-                collective=spec.collective,
-                algorithm=spec.name,
-                p=p,
-            ):
-                return profile_table(
-                    table, self.topo, mapping, routes=self.croutes
-                )
-        try:
-            with obs.span(
-                "schedule.build",
-                collective=spec.collective,
-                algorithm=spec.name,
-                p=p,
-            ):
-                with schedule_validation(False):
-                    schedule = spec.build(p, p)  # one element per block
-        except ValueError:
+                return analytic(p, self.topo, mapping, routes=self.routes)
+        # schedules lower once per (collective, algorithm, p) — the table
+        # is shared across systems, placements and seeds
+        table = transfer_table_for(spec, p)
+        if table is None:
             return None  # constraint (pow2/divisibility) not met
         with obs.span(
-            "profile.schedule",
+            "profile.table",
             collective=spec.collective,
             algorithm=spec.name,
             p=p,
         ):
-            return profile_schedule(
-                schedule, self.topo, mapping, routes=self.routes
-            )
+            return profile_table(table, self.topo, mapping, routes=self.routes)
 
     # -- on-disk persistence ------------------------------------------------
 
@@ -657,7 +622,6 @@ def _selected_specs(
 
 def _profile_records(
     profile: ScheduleProfile,
-    engine: str,
     system: str,
     spec: AlgorithmSpec,
     p: int,
@@ -667,12 +631,10 @@ def _profile_records(
     ppn: int = 1,
     timeline: str = "none",
 ) -> list[SweepRecord]:
-    """Records for one profile across the size grid, on either analytic engine.
+    """Records for one profile across the size grid, evaluated analytically.
 
-    The compiled engine evaluates every size in one
-    :func:`~repro.model.compiled.evaluate_grid` pass; the python engine
-    calls :func:`~repro.model.simulator.evaluate_time` per size.  Both
-    yield bit-identical records.  (The ``des`` engine goes through
+    Every size is evaluated in one :func:`~repro.model.compiled.evaluate_grid`
+    pass.  (The ``des`` engine goes through
     :func:`repro.des.records.des_records` instead.)
     """
     with obs.span(
@@ -680,49 +642,31 @@ def _profile_records(
         collective=spec.collective,
         algorithm=spec.name,
         p=p,
-        engine=engine,
         sizes=len(vector_bytes),
     ):
-        if engine == "compiled":
-            grid = evaluate_grid(
-                profile, params, [nb / params.itemsize for nb in vector_bytes]
-            )
-            cells = zip(vector_bytes, grid.time, grid.global_bytes)
-        else:
-            cells = (
-                (nb,) + _scalar_cell(profile, params, nb) for nb in vector_bytes
-            )
-        records = _cells_to_records(
-            cells, system, spec, p, faults, ppn, timeline
+        grid = evaluate_grid(
+            profile, params, [nb / params.itemsize for nb in vector_bytes]
         )
+        records = [
+            SweepRecord(
+                system=system,
+                collective=spec.collective,
+                algorithm=spec.name,
+                family=spec.family,
+                p=p,
+                n_bytes=nb,
+                time=float(time),
+                global_bytes=float(gbytes),
+                faults=faults,
+                ppn=ppn,
+                timeline=timeline,
+            )
+            for nb, time, gbytes in zip(
+                vector_bytes, grid.time, grid.global_bytes
+            )
+        ]
     obs.inc("evaluate.records", len(records))
     return records
-
-
-def _cells_to_records(
-    cells, system, spec, p, faults, ppn, timeline
-) -> list[SweepRecord]:
-    return [
-        SweepRecord(
-            system=system,
-            collective=spec.collective,
-            algorithm=spec.name,
-            family=spec.family,
-            p=p,
-            n_bytes=nb,
-            time=float(time),
-            global_bytes=float(gbytes),
-            faults=faults,
-            ppn=ppn,
-            timeline=timeline,
-        )
-        for nb, time, gbytes in cells
-    ]
-
-
-def _scalar_cell(profile, params, nb) -> tuple[float, float]:
-    metrics = evaluate_time(profile, params, nb / params.itemsize)
-    return metrics.time, metrics.global_bytes
 
 
 def _evaluate_grid(
@@ -757,8 +701,8 @@ def _evaluate_grid(
                 continue
             records.extend(
                 _profile_records(
-                    profile, cache.engine, preset.name, spec, p,
-                    vector_bytes, params, faults=cache.faults_label, ppn=ppn,
+                    profile, preset.name, spec, p, vector_bytes, params,
+                    faults=cache.faults_label, ppn=ppn,
                 )
             )
     return records
@@ -815,31 +759,34 @@ def _evaluate_cells(
     ppn: int,
     cell_sink,
 ) -> list[SweepRecord]:
-    """Serial sweep, cell by cell, streaming each into a journal sink.
+    """The serial sweep, cell by cell, optionally through a journal sink.
 
-    The journaled counterpart of :func:`_evaluate_grid`: mappings are
-    pre-sampled in serial first-touch order, each ``(collective, p)``
-    cell is evaluated (or served from the sink on resume) atomically,
-    and the reassembled records are identical to the plain serial
-    sweep's.  Polls :func:`~repro.checkpoint.drain.drain_requested`
-    between cells so SIGINT/SIGTERM stop the run at a journaled
-    boundary.
+    Mappings are pre-sampled in serial first-touch order and each
+    ``(collective, p)`` cell is evaluated atomically, so the reassembled
+    records do not depend on the sink.  With a ``cell_sink`` every cell
+    is streamed into it (or served from it on resume), and
+    :func:`~repro.checkpoint.drain.drain_requested` is polled between
+    cells so SIGINT/SIGTERM stop the run at a journaled boundary.
     """
     cells = _grid_cells(cache, specs, node_counts, max_p, ppn)
-    cell_sink.plan(cells)
+    if cell_sink is not None:
+        cell_sink.plan(cells)
     grouped: dict[tuple[str, str, int], list[SweepRecord]] = {}
     for coll, p in cells:
-        sig = drain_requested()
-        if sig is not None:
-            raise cell_sink.interrupted_error(sig)
-        recs = cell_sink.lookup(coll, p)
+        recs = None
+        if cell_sink is not None:
+            sig = drain_requested()
+            if sig is not None:
+                raise cell_sink.interrupted_error(sig)
+            recs = cell_sink.lookup(coll, p)
         if recs is None:
             cell_specs = [s for s in specs if s.collective == coll]
             recs = _evaluate_grid(
                 preset, cache, cell_specs, (p,), vector_bytes, params,
                 max_p, ppn,
             )
-            cell_sink.store(coll, p, recs)
+            if cell_sink is not None:
+                cell_sink.store(coll, p, recs)
         for rec in recs:
             grouped.setdefault(
                 (rec.collective, rec.algorithm, rec.p), []
@@ -875,10 +822,9 @@ def sweep_system(
     same order.  ``disk_dir`` enables the persistent profile cache (ignored
     when an explicit ``cache`` is passed — configure it there instead).
 
-    ``profile_engine`` selects the profiling/evaluation backend
-    (``"compiled"`` default, ``"python"`` reference; records are
-    bit-identical).  Like ``disk_dir`` it is ignored when an explicit
-    ``cache`` is passed — the cache's engine governs.
+    ``profile_engine`` selects the evaluation backend (``"compiled"``
+    default, or ``"des"``).  Like ``disk_dir`` it is ignored when an
+    explicit ``cache`` is passed — the cache's engine governs.
 
     ``faults`` evaluates the grid on a degraded fabric (see
     :class:`~repro.faults.FaultSpec`); the scenario label lands in every
@@ -925,15 +871,10 @@ def sweep_system(
                 preset, cache, specs, node_counts, vector_bytes, params,
                 max_p, ppn, workers, cell_sink=cell_sink,
             )
-        elif cell_sink is not None:
+        else:
             records = _evaluate_cells(
                 preset, cache, specs, node_counts, vector_bytes, params,
                 max_p, ppn, cell_sink,
-            )
-        else:
-            records = _evaluate_grid(
-                preset, cache, specs, node_counts, vector_bytes, params,
-                max_p, ppn,
             )
         sweep_span.set(records=len(records))
     return records
@@ -981,28 +922,21 @@ def sweep_torus(
     vector_bytes = tuple(
         vector_bytes if vector_bytes is not None else preset.vector_bytes
     )
-    engine = resolve_profile_engine(profile_engine)
-    if engine == "des":
+    if resolve_profile_engine(profile_engine) == "des":
         raise DESEngineError(
             "torus sweeps have no DES engine: the torus catalog is scored "
-            "analytically only — use profile_engine='compiled' or 'python'"
+            "analytically only — use profile_engine='compiled'"
         )
-    croutes = CompiledRouteTable(topo) if engine == "compiled" else None
+    routes = CompiledRouteTable(topo)
     system = f"{preset.name}:{'x'.join(str(d) for d in dims)}"
     records: list[SweepRecord] = []
     for spec in torus_specs(collectives, algorithms):
         with schedule_validation(False):
             schedule = spec.build(shape)
-        if engine == "compiled":
-            profile = profile_table(
-                lower_schedule(schedule), topo, mapping, routes=croutes
-            )
-        else:
-            profile = profile_schedule(schedule, topo, mapping)
+        profile = profile_schedule(schedule, topo, mapping, routes=routes)
         records.extend(
             _profile_records(
-                profile, engine, system, spec, shape.num_ranks,
-                vector_bytes, params,
+                profile, system, spec, shape.num_ranks, vector_bytes, params,
             )
         )
     return records

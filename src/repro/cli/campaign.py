@@ -130,8 +130,8 @@ def run_campaign(
     ``workers``, ``disk_dir`` and ``profile_engine`` are execution knobs,
     not campaign identity: any combination yields record-for-record
     identical output (parallel shards pre-sample placements in serial
-    order; warm disk caches replay the cold run's profiles; the compiled
-    profile engine is bit-identical to the python reference).  An explicit
+    order; warm disk caches replay the cold run's profiles; the DES engine
+    reproduces the compiled one when no timeline perturbs it).  An explicit
     ``cache`` overrides the manifest's placement context *and* the engine —
     the bench suite uses this to share one cache across benches.
 

@@ -16,10 +16,10 @@ Schema (TOML shown; JSON mirrors it)::
     placement = "scheduler"         # optional (scheduler | block)
     seed = 7                        # optional allocation-sampler seed
     busy_fraction = 0.55            # optional sampler load factor
-    engine = "des"                  # optional profile engine (python |
-                                    # compiled | des); --profile-engine
-                                    # overrides; required ("des") when any
-                                    # [[faults]] entry has a timeline
+    engine = "des"                  # optional profile engine (compiled |
+                                    # des); --profile-engine overrides;
+                                    # required ("des") when any [[faults]]
+                                    # entry has a timeline
 
     [[grid]]                        # one or more
     collectives = ["bcast", ...]    # required
@@ -71,6 +71,7 @@ from pathlib import Path
 
 from repro.collectives.registry import COLLECTIVES, families, iter_specs
 from repro.faults import FaultSpec
+from repro.model.compiled import PROFILE_ENGINES
 from repro.runtime.errors import FaultSpecError
 from repro.systems import ALL_SYSTEMS
 from repro.systems.presets import PAPER_VECTOR_BYTES
@@ -319,10 +320,14 @@ def manifest_from_dict(data: dict) -> CampaignManifest:
     engine = camp.get("engine")
     if engine is not None:
         engine = str(engine)
-        if engine not in ("python", "compiled", "des"):
+        if engine == "python":
             raise ManifestError(
-                f"[campaign]: unknown engine {engine!r} "
-                "(python | compiled | des)"
+                '[campaign]: engine "python" was removed; use "compiled" '
+                "(bit-identical records)"
+            )
+        if engine not in PROFILE_ENGINES:
+            raise ManifestError(
+                f"[campaign]: unknown engine {engine!r} (compiled | des)"
             )
     raw_faults = data.get("faults") or []
     faults: list[FaultSpec] = []
@@ -341,7 +346,7 @@ def manifest_from_dict(data: dict) -> CampaignManifest:
     if any(not f.timeline.is_null for f in faults) and engine != "des":
         raise ManifestError(
             "[[faults]]: a timeline scenario needs [campaign] engine = "
-            '"des" (the analytic engines cannot replay mid-run events)'
+            '"des" (the compiled engine cannot replay mid-run events)'
         )
     if faults and any(g.torus_dims is not None for g in grids):
         raise ManifestError(

@@ -18,11 +18,11 @@ first-class, deterministic campaign knob:
   :class:`~repro.runtime.errors.TopologyPartitionedError` names it.
   Width derates scale link widths, which the cost model divides load by.
 
-Both profile engines (:class:`~repro.model.simulator.RouteTable` and the
-CSR :class:`~repro.model.compiled.CompiledRouteTable`) query
-``topo.route(src, dst)`` lazily per node pair, so wrapping the topology
-degrades both identically — records stay bit-identical across engines
-under any spec (asserted in ``tests/test_faults.py``).
+The CSR :class:`~repro.model.compiled.CompiledRouteTable` (and the scalar
+reference table the tests check it against) query ``topo.route(src,
+dst)`` lazily per node pair, so wrapping the topology degrades both
+identically — records stay bit-identical to the reference under any spec
+(asserted in ``tests/test_faults.py``).
 
 Example::
 
@@ -579,7 +579,7 @@ class DegradedTopology(Topology):
 
     Width scaling is a pure function of the link *key*, so shared links
     keep one consistent width everywhere they appear — which is what
-    keeps the python and CSR route tables bit-identical.
+    keeps the CSR route table bit-identical to the scalar reference.
     """
 
     def __init__(self, inner: Topology, spec: FaultSpec):

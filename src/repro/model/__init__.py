@@ -5,7 +5,9 @@ from repro.model.compiled import (
     GridMetrics,
     TransferTable,
     evaluate_grid,
+    evaluate_time,
     lower_schedule,
+    profile_schedule,
     profile_table,
     resolve_profile_engine,
     transfer_table_for,
@@ -15,8 +17,6 @@ from repro.model.simulator import (
     RunMetrics,
     ScheduleProfile,
     StepProfile,
-    evaluate_time,
-    profile_schedule,
 )
 from repro.model.traffic import (
     global_traffic_elems,

@@ -19,13 +19,17 @@ aggregates directly from the algorithms' regular structure:
   the tie threshold in tests).
 
 The sweep layer switches to these above ``ANALYTIC_THRESHOLD`` ranks;
-correctness tests always run the exact schedule builders.
+correctness tests always run the exact schedule builders.  Every step is
+collapsed by ``routes.profile_step`` on a
+:class:`~repro.model.compiled.CompiledRouteTable` — the sweep passes its
+shared table; omitted, each call builds a private one.
 """
 
 from __future__ import annotations
 
 from repro.core.butterfly import bine_butterfly_doubling
-from repro.model.simulator import RouteTable, ScheduleProfile, StepProfile, profile_step
+from repro.model.compiled import CompiledRouteTable
+from repro.model.simulator import ScheduleProfile, StepProfile
 from repro.topology.base import Topology
 from repro.topology.mapping import RankMap
 
@@ -42,30 +46,33 @@ __all__ = [
 ANALYTIC_THRESHOLD = 128
 
 
-def _ctx(p: int, topo: Topology, rank_map: RankMap, routes: RouteTable | None):
+def _ctx(
+    p: int, topo: Topology, rank_map: RankMap,
+    routes: CompiledRouteTable | None,
+):
     if rank_map.num_ranks != p:
         raise ValueError("mapping size mismatch")
     if routes is None:
-        routes = RouteTable(topo)
+        routes = CompiledRouteTable(topo)
     return rank_map.groups(topo), routes
 
 
 def ring_profile(
     p: int, topo: Topology, rank_map: RankMap, variant: str,
-    routes: RouteTable | None = None,
+    routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
     """Exact ring profile: one representative step, replicated.
 
     ``variant``: ``"reduce_scatter"``, ``"allgather"`` or ``"allreduce"``.
     """
     groups, rtab = _ctx(p, topo, rank_map, routes)
-    rs_step = profile_step(
+    rs_step = rtab.profile_step(
         ((r, (r + 1) % p, 1, 1, True) for r in range(p)),
-        (), rtab, rank_map.nodes, groups,
+        (), rank_map.nodes, groups,
     )
-    ag_step = profile_step(
+    ag_step = rtab.profile_step(
         ((r, (r + 1) % p, 1, 1, False) for r in range(p)),
-        (), rtab, rank_map.nodes, groups,
+        (), rank_map.nodes, groups,
     )
     if variant == "reduce_scatter":
         steps = (rs_step,) * (p - 1)
@@ -84,16 +91,16 @@ def ring_profile(
 
 def pairwise_alltoall_profile(
     p: int, topo: Topology, rank_map: RankMap, samples: int = 32,
-    routes: RouteTable | None = None,
+    routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
     """Pairwise alltoall: sample the offset space, replicate to neighbours."""
     groups, rtab = _ctx(p, topo, rank_map, routes)
     offsets = sorted({max(1, round(1 + k * (p - 2) / max(1, samples - 1))) for k in range(samples)})
     sampled: dict[int, StepProfile] = {}
     for k in offsets:
-        sampled[k] = profile_step(
+        sampled[k] = rtab.profile_step(
             ((r, (r + k) % p, 1, 1, False) for r in range(p)),
-            (), rtab, rank_map.nodes, groups,
+            (), rank_map.nodes, groups,
         )
     keys = sorted(sampled)
     steps = []
@@ -106,7 +113,8 @@ def pairwise_alltoall_profile(
 
 
 def bruck_alltoall_profile(
-    p: int, topo: Topology, rank_map: RankMap, routes: RouteTable | None = None
+    p: int, topo: Topology, rank_map: RankMap,
+    routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
     """Bruck alltoall: packed sends (the rotation trick) + per-step pack copy.
 
@@ -120,15 +128,17 @@ def bruck_alltoall_profile(
         dist = 1 << k
         nelems = sum(1 for off in range(p) if (off >> k) & 1)
         steps.append(
-            profile_step(
+            rtab.profile_step(
                 ((r, (r + dist) % p, nelems, 1, False) for r in range(p)),
                 ((r, p, False) for r in range(p)),
-                rtab, rank_map.nodes, groups,
+                rank_map.nodes, groups,
             )
         )
     # final local unpack (inverse rotation)
     steps.append(
-        profile_step((), ((r, p, False) for r in range(p)), rtab, rank_map.nodes, groups)
+        rtab.profile_step(
+            (), ((r, p, False) for r in range(p)), rank_map.nodes, groups
+        )
     )
     meta = {"collective": "alltoall", "algorithm": "bruck", "p": p, "n": p,
             "analytic": True}
@@ -136,7 +146,8 @@ def bruck_alltoall_profile(
 
 
 def bine_alltoall_profile(
-    p: int, topo: Topology, rank_map: RankMap, routes: RouteTable | None = None
+    p: int, topo: Topology, rank_map: RankMap,
+    routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
     """Bine alltoall with the paper's packing scheme (Sec. 4.4).
 
@@ -154,14 +165,16 @@ def bine_alltoall_profile(
     steps = []
     for j in range(bf.num_steps):
         steps.append(
-            profile_step(
+            rtab.profile_step(
                 ((r, bf.partner(r, j), p // 2, 1, False) for r in range(p)),
                 ((r, p, False) for r in range(p)),
-                rtab, rank_map.nodes, groups,
+                rank_map.nodes, groups,
             )
         )
     steps.append(
-        profile_step((), ((r, p, False) for r in range(p)), rtab, rank_map.nodes, groups)
+        rtab.profile_step(
+            (), ((r, p, False) for r in range(p)), rank_map.nodes, groups
+        )
     )
     meta = {"collective": "alltoall", "algorithm": "bine", "p": p, "n": p,
             "analytic": True}

@@ -1,8 +1,9 @@
-"""Compiled profiling + grid evaluation — the sweep pipeline's fast path.
+"""Compiled profiling + grid evaluation — the cost model's one kernel.
 
 Three lowering stages turn the build → route → profile → evaluate pipeline
-into array programs, each bit-identical to the Python reference it replaces
-(asserted across the whole registry in ``tests/test_compiled_profile.py``):
+into array programs, each bit-identical to the scalar reference profiler
+kept as a test oracle (``tests/oracle_profile.py``; asserted across the
+whole registry in ``tests/test_compiled_profile.py``):
 
 * :class:`TransferTable` — a finalized :class:`~repro.runtime.schedule.Schedule`
   flattened *once* per ``(algorithm, p)`` into structure-of-arrays,
@@ -21,29 +22,28 @@ into array programs, each bit-identical to the Python reference it replaces
   :meth:`CompiledRouteTable.profile_step_arrays` collapses a whole step
   with gathers, ``np.bincount`` and ``np.add.at`` — zero per-transfer
   Python.  Link-load contributions are expanded in exactly the
-  concatenation order of the scalar path, and ``np.add.at`` is unbuffered,
-  so the resulting :class:`~repro.model.simulator.StepProfile` floats are
-  bit-identical to :func:`~repro.model.simulator.profile_step`.
+  concatenation order of the scalar oracle, and ``np.add.at`` is
+  unbuffered, so the resulting :class:`~repro.model.simulator.StepProfile`
+  floats are bit-identical to it.
 
 * :func:`evaluate_grid` — evaluates one profile at *all* message sizes of a
   campaign in a single NumPy pass.  Per-step structure arrays (max loads by
   class, injection/ejection/reduce/copy maxima) are cached on the profile
-  the first time it is evaluated; each call then replays
-  :func:`~repro.model.simulator.evaluate_time`'s arithmetic elementwise
-  over the size axis, with the same operation order (products
-  left-associated, per-step terms summed in step order via a running
-  ``np.cumsum`` — a prefix sum cannot be regrouped pairwise), so every
-  column equals the scalar evaluation bit for bit.
+  the first time it is evaluated; each call then replays the scalar
+  step-sum arithmetic elementwise over the size axis, with the same
+  operation order (products left-associated, per-step terms summed in step
+  order via a running ``np.cumsum`` — a prefix sum cannot be regrouped
+  pairwise), so every column equals the scalar evaluation bit for bit.
 
-The sweep layer (:mod:`repro.analysis.sweep`) routes through these via the
-``profile_engine`` knob (``"compiled"`` by default, ``"python"`` for the
-reference path; the ``REPRO_PROFILE_ENGINE`` environment variable changes
-the default where no explicit engine is passed).
+:func:`profile_schedule` and :func:`evaluate_time` are the one-schedule,
+one-size conveniences over :func:`profile_table` and :func:`evaluate_grid`.
+The sweep layer (:mod:`repro.analysis.sweep`) runs every profile through
+this module whichever ``profile_engine`` it is given (``"compiled"`` by
+default; ``"des"`` profiles here too and only *evaluates* by simulation).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -53,6 +53,7 @@ from repro import obs
 from repro.model.cost import CostParams
 from repro.model.simulator import (
     PIPELINE_CHUNKS,
+    RunMetrics,
     ScheduleProfile,
     StepProfile,
 )
@@ -68,38 +69,37 @@ __all__ = [
     "transfer_table_for",
     "clear_table_cache",
     "profile_table",
+    "profile_schedule",
     "evaluate_grid",
+    "evaluate_time",
     "resolve_profile_engine",
     "PROFILE_ENGINES",
 ]
 
 #: accepted values for the sweep layer's ``profile_engine`` knob —
-#: ``python``/``compiled`` are the (bit-identical) analytic evaluators;
-#: ``des`` is the discrete-event fabric engine (:mod:`repro.des`), the
-#: only engine that can replay a :class:`~repro.faults.FaultTimeline`
-PROFILE_ENGINES = ("python", "compiled", "des")
+#: ``compiled`` evaluates analytically; ``des`` is the discrete-event
+#: fabric engine (:mod:`repro.des`), the only engine that can replay a
+#: :class:`~repro.faults.FaultTimeline`
+PROFILE_ENGINES = ("compiled", "des")
 
 
 def resolve_profile_engine(engine: str | None = None) -> str:
-    """The effective profile engine: explicit arg → env var → compiled.
-
-    An explicit ``engine`` always wins; ``REPRO_PROFILE_ENGINE`` (when set
-    and non-empty) replaces only the *default*, so a whole run can be
-    steered from the environment without breaking callers that deliberately
-    pin an engine — the perf bench and the equivalence tests compare the
-    two engines against each other and must not be silently collapsed onto
-    one of them.
+    """The effective profile engine: the explicit ``engine``, else compiled.
 
     Example::
 
         >>> resolve_profile_engine()
         'compiled'
-        >>> resolve_profile_engine("python")
-        'python'
+        >>> resolve_profile_engine("des")
+        'des'
     """
     if engine is None:
-        env = os.environ.get("REPRO_PROFILE_ENGINE")
-        engine = env.strip() if env is not None and env.strip() else "compiled"
+        return "compiled"
+    if engine == "python":
+        raise ValueError(
+            "profile engine 'python' was removed; use 'compiled' "
+            "(bit-identical records)"
+        )
     if engine not in PROFILE_ENGINES:
         raise ValueError(
             f"unknown profile engine {engine!r}; have {PROFILE_ENGINES}"
@@ -287,15 +287,13 @@ def _grown(buf: np.ndarray, need: int) -> np.ndarray:
 class CompiledRouteTable:
     """Interned minimal routes for one topology, in CSR layout.
 
-    The compiled counterpart of :class:`~repro.model.simulator.RouteTable`:
-    node pairs intern lazily (each ``topo.route`` call happens exactly once
-    per pair per table), but the per-pair data lands in flat arrays so a
-    whole step's transfers resolve with gathers instead of per-transfer
-    dict lookups.  :meth:`profile_step_arrays` is the vectorized
-    :func:`~repro.model.simulator.profile_step`; :meth:`profile_step`
-    adapts the generator-based calling convention so the analytic profile
-    builders (:mod:`repro.model.analytic`) run through the same kernel
-    unchanged.
+    Node pairs intern lazily (each ``topo.route`` call happens exactly
+    once per pair per table), and the per-pair data lands in flat arrays
+    so a whole step's transfers resolve with gathers instead of
+    per-transfer dict lookups.  :meth:`profile_step_arrays` is the
+    vectorized step profiler; :meth:`profile_step` adapts the
+    generator-based calling convention of the analytic profile builders
+    (:mod:`repro.model.analytic`) to it.
 
     Interning is linear in the number of pairs: :meth:`resolve` routes a
     step's unseen pairs in one :meth:`_intern_batch`, which appends them to
@@ -435,9 +433,10 @@ class CompiledRouteTable:
     def profile_step(self, transfers, local_ops, node_of, groups) -> StepProfile:
         """Generator-convention adapter (the analytic builders' entry).
 
-        Accepts the exact arguments of
-        :func:`repro.model.simulator.profile_step` minus ``routes`` and
-        feeds the vectorized kernel.
+        ``transfers`` yields ``(src_rank, dst_rank, nelems, num_segments,
+        has_op)`` tuples; ``local_ops`` yields ``(rank, nelems, has_op)``;
+        ``node_of`` and ``groups`` are per-rank node / group tables.  The
+        columns feed :meth:`profile_step_arrays`.
         """
         transfers = list(transfers)
         n_t = len(transfers)
@@ -484,7 +483,7 @@ class CompiledRouteTable:
     ) -> StepProfile:
         """One step's columns → a :class:`StepProfile`, fully vectorized.
 
-        Bit-identical to the scalar :func:`~repro.model.simulator.profile_step`:
+        Bit-identical to the scalar oracle (``tests/oracle_profile.py``):
         integer aggregates are exact in either accumulation order (all
         magnitudes sit far below 2**53), and the only true-float quantity —
         per-link load, where widths divide unevenly — is accumulated by the
@@ -516,7 +515,7 @@ class CompiledRouteTable:
             for ci in np.nonzero(hops_t.any(axis=0))[0]:
                 class_elems[self.cls_names[ci]] = int(totals[ci])
             # per-link loads: expand each transfer's route rows in transfer
-            # order — the same concatenation the scalar path builds — then
+            # order — the same concatenation the scalar oracle builds — then
             # accumulate with the same unbuffered np.add.at
             counts = csr.off[pids + 1] - csr.off[pids]
             if counts.sum():
@@ -579,8 +578,8 @@ def profile_table(
     *,
     routes: CompiledRouteTable | None = None,
 ) -> ScheduleProfile:
-    """Profile a lowered schedule: the compiled
-    :func:`~repro.model.simulator.profile_schedule`.
+    """Route every transfer of a lowered schedule and collapse each step
+    into a :class:`~repro.model.simulator.StepProfile`.
 
     Pass ``routes`` to share one CSR route matrix across many profiles of
     the same topology (the sweep layer always does).
@@ -621,6 +620,17 @@ def profile_table(
     )
 
 
+def profile_schedule(
+    schedule: Schedule,
+    topo: Topology,
+    rank_map: RankMap,
+    *,
+    routes: CompiledRouteTable | None = None,
+) -> ScheduleProfile:
+    """Profile one schedule: :func:`profile_table` of its lowering."""
+    return profile_table(lower_schedule(schedule), topo, rank_map, routes=routes)
+
+
 # -- grid evaluation ---------------------------------------------------------
 
 
@@ -645,8 +655,8 @@ class _EvalTables:
 class GridMetrics:
     """Evaluation result for one profile across a whole size grid.
 
-    Column ``j`` equals :func:`~repro.model.simulator.evaluate_time` at
-    ``n_elems[j]`` bit for bit.
+    Column ``j`` equals :func:`evaluate_time` at ``n_elems[j]`` bit for
+    bit.
     """
 
     time: np.ndarray
@@ -721,24 +731,34 @@ def evaluate_grid(
 ) -> GridMetrics:
     """Time and traffic for every vector size of ``n_elems`` in one pass.
 
-    The vectorized :func:`~repro.model.simulator.evaluate_time`: column
-    ``j`` of every output equals the scalar call at ``n_elems[j]`` bit for
-    bit (each arithmetic step is applied elementwise in the same order the
-    scalar code applies it).  The per-step structure arrays are cached on
-    the profile, so evaluating a second size grid costs only the NumPy
-    pass.
+    The cost law is a sum over steps of latency + bandwidth + reduction +
+    copy terms; schedule-level meta flags refine it:
+
+    * ``segmented`` — reduction compute overlaps transport within a step
+      (Sec. 5.2.2);
+    * ``pipelined`` — successive steps forward the *same* data (chain/tree
+      pipelines like Trinaryx): bandwidth terms overlap across steps, so
+      the total pays the per-step latency sum but only
+      ``max_bw · (1 + (steps − 1)/chunks)`` of bandwidth;
+    * ``ports_used`` — how many NICs the schedule can drive concurrently
+      (App. D.4 multiported schedules); capped by the machine's ports.
+
+    Column ``j`` of every output equals the scalar step-sum evaluation at
+    ``n_elems[j]`` bit for bit (each arithmetic step is applied
+    elementwise in the same order the scalar code applies it).  The
+    per-step structure arrays are cached on the profile, so evaluating a
+    second size grid costs only the NumPy pass.
 
     Example::
 
         >>> from repro.collectives.registry import build
-        >>> from repro.model.simulator import evaluate_time, profile_schedule
         >>> from repro.systems import lumi
         >>> from repro.topology.mapping import block_mapping
         >>> preset = lumi()
         >>> prof = profile_schedule(build("bcast", "bine", 8, 8),
         ...                         preset.build_topology(), block_mapping(8))
         >>> g = evaluate_grid(prof, preset.params, [8.0, 1024.0])
-        >>> g.time[1] == evaluate_time(prof, preset.params, 1024.0).time
+        >>> bool(g.time[1] == evaluate_time(prof, preset.params, 1024.0).time)
         True
     """
     n_arr = np.atleast_1d(np.asarray(n_elems, dtype=np.float64))
@@ -778,4 +798,17 @@ def evaluate_grid(
         bytes_by_class={
             cls: e * scale * b for cls, e in profile.total_class_elems().items()
         },
+    )
+
+
+def evaluate_time(
+    profile: ScheduleProfile, params: CostParams, n_elems: float
+) -> RunMetrics:
+    """Time and traffic for one vector of ``n_elems`` elements: column 0 of
+    :func:`evaluate_grid`."""
+    g = evaluate_grid(profile, params, [n_elems])
+    return RunMetrics(
+        time=float(g.time[0]),
+        global_bytes=float(g.global_bytes[0]),
+        bytes_by_class={cls: float(v[0]) for cls, v in g.bytes_by_class.items()},
     )

@@ -227,7 +227,7 @@ class TestResumeIdentity:
         run_campaign(tiny_manifest(), journal=tmp_path)
         with pytest.raises(JournalError, match="engine"):
             run_campaign(tiny_manifest(), journal=tmp_path, resume=True,
-                         profile_engine="python")
+                         profile_engine="des")
 
     def test_checkpoint_counters(self, tmp_path):
         from repro.obs import metrics

@@ -1,12 +1,13 @@
-"""Compiled profile pipeline == Python reference, bit for bit.
+"""Compiled profile pipeline == scalar oracle, bit for bit.
 
-The ``profile_engine="compiled"`` path (transfer tables, CSR route
-matrices, grid evaluation — :mod:`repro.model.compiled`) must be a pure
-optimization: every :class:`StepProfile`, every evaluated time and every
-sweep record must equal the scalar pipeline's output exactly, not merely
-within tolerance.  These tests pin that contract across the whole
-algorithm registry (including non-power-of-two rank counts), the analytic
-profile builders, the torus catalog, and the sweep layer itself.
+The profiling kernel (transfer tables, CSR route matrices, grid
+evaluation — :mod:`repro.model.compiled`) must be a pure optimization of
+the scalar reference profiler in ``tests/oracle_profile.py``: every
+:class:`StepProfile`, every evaluated time and every sweep record must
+equal the oracle's output exactly, not merely within tolerance.  These
+tests pin that contract across the whole algorithm registry (including
+non-power-of-two rank counts and ppn=2), the analytic profile builders,
+the torus catalog, and the sweep layer itself.
 """
 
 from __future__ import annotations
@@ -26,20 +27,19 @@ from repro.model.compiled import (
     CompiledRouteTable,
     _seq_sum,
     evaluate_grid,
+    evaluate_time,
     lower_schedule,
+    profile_schedule,
     profile_table,
     resolve_profile_engine,
     transfer_table_for,
 )
-from repro.model.simulator import (
-    RouteTable,
-    evaluate_time,
-    profile_schedule,
-)
 from repro.runtime.schedule import schedule_validation
 from repro.systems import fugaku, lumi
+from repro.systems.presets import PAPER_VECTOR_BYTES
 from repro.topology.mapping import block_mapping
 
+import oracle_profile as oracle
 from strategies import rank_map, rng_for, shuffled
 
 RANK_COUNTS = (4, 8, 16, 17, 32)
@@ -60,46 +60,52 @@ def _buildable_schedules(p):
 
 
 class TestStepProfileEquivalence:
+    @pytest.mark.parametrize("ppn", [1, 2])
     @pytest.mark.parametrize("p", RANK_COUNTS)
-    def test_registry_profiles_bit_identical(self, p):
+    def test_registry_profiles_bit_identical(self, p, ppn):
+        # ppn > 1 exercises the intra-node (shared-memory copy) branch
         preset = lumi()
         topo = preset.build_topology()
-        mapping = block_mapping(p)
-        routes = RouteTable(topo)
+        mapping = block_mapping(p, ppn=ppn)
+        routes = oracle.RouteTable(topo)
         croutes = CompiledRouteTable(topo)
         checked = 0
         for coll, name, sched in _buildable_schedules(p):
-            py = profile_schedule(sched, topo, mapping, routes=routes)
+            ref = oracle.profile_schedule(sched, topo, mapping, routes=routes)
             co = profile_table(
                 lower_schedule(sched), topo, mapping, routes=croutes
             )
-            assert py == co, f"{coll}/{name} p={p}"
+            assert ref == co, f"{coll}/{name} p={p} ppn={ppn}"
             checked += 1
         # the registry actually covered this p (non-pow2 thins the field)
         assert checked >= (10 if p & (p - 1) == 0 else 8)
 
     def test_ppn2_same_node_copies_bit_identical(self):
-        # ppn > 1 exercises the intra-node (shared-memory copy) branch
         preset = lumi()
         topo = preset.build_topology()
         mapping = block_mapping(16, ppn=2)
         for coll, name in (("allreduce", "bine-rsag"), ("bcast", "binomial-dd")):
             sched = ALGORITHMS[(coll, name)].build(16, 16)
-            py = profile_schedule(sched, topo, mapping)
-            co = profile_table(lower_schedule(sched), topo, mapping)
-            assert py == co
+            ref = oracle.profile_schedule(sched, topo, mapping)
+            assert ref == profile_table(lower_schedule(sched), topo, mapping)
+            assert ref == profile_schedule(sched, topo, mapping)
 
     def test_analytic_builders_share_the_kernel(self):
-        # analytic profiles call profile_step, which dispatches on the
-        # routes type: a CompiledRouteTable must give identical profiles
+        # the analytic builders call routes.profile_step: the oracle
+        # RouteTable, passed as a fake CompiledRouteTable, must give the
+        # same profiles as the compiled kernel
         preset = lumi()
         topo = preset.build_topology()
-        routes = RouteTable(topo)
+        routes = oracle.RouteTable(topo)
         croutes = CompiledRouteTable(topo)
         for (coll, name), builder in sorted(ANALYTIC_PROFILES.items()):
             for p in (16, 256):
                 mapping = block_mapping(p)
                 assert builder(p, topo, mapping, routes=routes) == builder(
+                    p, topo, mapping, routes=croutes
+                ), f"analytic {coll}/{name} p={p}"
+                # omitted, the builder routes on a private compiled table
+                assert builder(p, topo, mapping) == builder(
                     p, topo, mapping, routes=croutes
                 ), f"analytic {coll}/{name} p={p}"
 
@@ -177,33 +183,57 @@ class TestRouteInterningHistory:
         self._assert_csr_is_view(single)
 
 
+#: the paper's size ladder plus tiny vectors (scale < 1 in elements)
+ORACLE_N_ELEMS = (1.0, 3.0) + tuple(nb / 4 for nb in PAPER_VECTOR_BYTES)
+
+
+def _assert_grid_matches_oracle(profile, params, n_elems, where):
+    """evaluate_grid and evaluate_time == the scalar oracle, every cell."""
+    grid = evaluate_grid(profile, params, n_elems)
+    for j, n in enumerate(n_elems):
+        ref = oracle.evaluate_time(profile, params, n)
+        assert grid.time[j] == ref.time, f"{where} n={n}"
+        assert grid.global_bytes[j] == ref.global_bytes, f"{where} n={n}"
+        assert {
+            cls: arr[j] for cls, arr in grid.bytes_by_class.items()
+        } == ref.bytes_by_class, f"{where} n={n}"
+        assert evaluate_time(profile, params, n) == ref, f"{where} n={n}"
+    return len(n_elems)
+
+
 class TestEvaluateGrid:
-    def _profiles(self):
+    """evaluate_grid (and its one-size wrapper) == the scalar evaluator."""
+
+    @pytest.mark.parametrize("ppn", [1, 2])
+    @pytest.mark.parametrize("p", RANK_COUNTS)
+    def test_registry_matches_oracle(self, p, ppn):
         preset = lumi()
         topo = preset.build_topology()
-        out = []
-        for coll, name, p in (
-            ("allreduce", "bine-rsag", 32),           # plain step sum
-            ("allreduce", "bine-rsag-segmented", 32), # segmented overlap
-            ("allreduce", "ring", 16),                # segmented, many steps
-            ("allgather", "bruck", 17),               # non-pow2, local copies
-        ):
-            sched = ALGORITHMS[(coll, name)].build(p, p)
-            out.append(profile_schedule(sched, topo, block_mapping(p)))
-        return preset, out
+        mapping = block_mapping(p, ppn=ppn)
+        routes = CompiledRouteTable(topo)
+        cells = 0
+        for coll, name, sched in _buildable_schedules(p):
+            profile = profile_table(
+                lower_schedule(sched), topo, mapping, routes=routes
+            )
+            cells += _assert_grid_matches_oracle(
+                profile, preset.params, ORACLE_N_ELEMS,
+                f"{coll}/{name} p={p} ppn={ppn}",
+            )
+        assert cells >= 8 * len(ORACLE_N_ELEMS)
 
-    def test_matches_per_size_evaluate_time(self):
-        preset, profiles = self._profiles()
-        n_elems = [nb / preset.params.itemsize for nb in N_BYTES]
-        for profile in profiles:
-            grid = evaluate_grid(profile, preset.params, n_elems)
-            for j, n in enumerate(n_elems):
-                m = evaluate_time(profile, preset.params, n)
-                assert grid.time[j] == m.time
-                assert grid.global_bytes[j] == m.global_bytes
-                assert {
-                    cls: arr[j] for cls, arr in grid.bytes_by_class.items()
-                } == m.bytes_by_class
+    @pytest.mark.parametrize("p", [256, 1024])
+    def test_analytic_profiles_match_oracle(self, p):
+        # thousands of replicated steps: the _lat_array id-memo path
+        preset = lumi()
+        topo = preset.build_topology()
+        mapping = block_mapping(p)
+        routes = CompiledRouteTable(topo)
+        for (coll, name), builder in sorted(ANALYTIC_PROFILES.items()):
+            _assert_grid_matches_oracle(
+                builder(p, topo, mapping, routes=routes), preset.params,
+                ORACLE_N_ELEMS, f"analytic {coll}/{name} p={p}",
+            )
 
     def test_pipelined_meta_matches(self):
         # the trinaryx torus chains carry the ``pipelined`` cost flag
@@ -220,23 +250,10 @@ class TestEvaluateGrid:
                 sched = spec.build(shape)
             seen_pipelined |= bool(sched.meta.get("pipelined"))
             profile = profile_schedule(sched, topo, mapping)
-            n_elems = [nb / 4 for nb in N_BYTES]
-            grid = evaluate_grid(profile, preset.params, n_elems)
-            for j, n in enumerate(n_elems):
-                assert grid.time[j] == evaluate_time(profile, preset.params, n).time
+            _assert_grid_matches_oracle(
+                profile, preset.params, ORACLE_N_ELEMS, spec.name
+            )
         assert seen_pipelined  # the flag's code path was actually exercised
-
-    def test_analytic_ring_large_p(self):
-        # thousands of replicated steps: the _lat_array id-memo path
-        preset = lumi()
-        topo = preset.build_topology()
-        profile = ANALYTIC_PROFILES[("allreduce", "ring")](
-            1024, topo, block_mapping(1024)
-        )
-        n_elems = [nb / preset.params.itemsize for nb in N_BYTES]
-        grid = evaluate_grid(profile, preset.params, n_elems)
-        for j, n in enumerate(n_elems):
-            assert grid.time[j] == evaluate_time(profile, preset.params, n).time
 
     def test_seq_sum_matches_sequential_loop(self):
         # the summation must add rows in step order (no pairwise
@@ -255,64 +272,59 @@ class TestEvaluateGrid:
 
 
 class TestSweepRecordEquivalence:
-    def test_sweep_records_bit_identical_across_engines(self):
+    """Compiled sweep records == oracle profile + oracle evaluate_time."""
+
+    @staticmethod
+    def _assert_sweep_matches_oracle(collectives, **kwargs):
         preset = lumi()
-        kwargs = dict(
-            node_counts=(8, 16, 17, 32),
-            vector_bytes=N_BYTES,
+        cache = ProfileCache(preset)
+        co = sweep_system(preset, collectives, cache=cache, **kwargs)
+        # the oracle reuses the mappings the sweep sampled
+        assert oracle.oracle_sweep_records(cache, collectives, **kwargs) == co
+        return co
+
+    def test_sweep_records_bit_identical_to_oracle(self):
+        collectives = tuple(sorted({c for c, _ in ALGORITHMS}))
+        records = self._assert_sweep_matches_oracle(
+            collectives, node_counts=(8, 16, 17, 32), vector_bytes=N_BYTES,
             max_p={"alltoall": 16},
         )
-        collectives = tuple(sorted({c for c, _ in ALGORITHMS}))
-        py = sweep_system(preset, collectives, profile_engine="python", **kwargs)
-        co = sweep_system(preset, collectives, profile_engine="compiled", **kwargs)
-        assert py == co
-        assert len(py) > 300
+        assert len(records) > 300
 
     def test_reference_lumi_campaign_bit_identical(self):
         # the BENCH_sweep.json campaign's shape (3 collectives, the nine
         # paper sizes) — the acceptance contract for the compiled engine
-        preset = lumi()
-        kwargs = dict(
-            node_counts=(16, 64, 256),
-            vector_bytes=tuple(32 * 8**k for k in range(9)),
+        records = self._assert_sweep_matches_oracle(
+            ("allreduce", "allgather", "bcast"), node_counts=(16, 64, 256),
+            vector_bytes=PAPER_VECTOR_BYTES,
         )
-        collectives = ("allreduce", "allgather", "bcast")
-        py = sweep_system(preset, collectives, profile_engine="python", **kwargs)
-        co = sweep_system(preset, collectives, profile_engine="compiled", **kwargs)
-        assert py == co
-        assert len(py) > 500
+        assert len(records) > 500
 
     def test_sweep_records_identical_with_ppn(self):
-        preset = lumi()
-        kwargs = dict(node_counts=(16, 32), vector_bytes=(1024,), ppn=2)
-        py = sweep_system(preset, ("allreduce",), profile_engine="python", **kwargs)
-        co = sweep_system(preset, ("allreduce",), profile_engine="compiled", **kwargs)
-        assert py == co and py
+        assert self._assert_sweep_matches_oracle(
+            ("allreduce",), node_counts=(16, 32), vector_bytes=(1024,), ppn=2
+        )
 
     def test_torus_sweep_bit_identical(self):
         preset = fugaku()
-        kwargs = dict(vector_bytes=N_BYTES)
+        collectives = ("bcast", "allreduce", "allgather")
         for dims in ((2, 4), (2, 2, 2)):
-            py = sweep_torus(
-                preset, dims, ("bcast", "allreduce", "allgather"),
-                profile_engine="python", **kwargs
-            )
-            co = sweep_torus(
-                preset, dims, ("bcast", "allreduce", "allgather"),
-                profile_engine="compiled", **kwargs
-            )
-            assert py == co and py
+            co = sweep_torus(preset, dims, collectives, vector_bytes=N_BYTES)
+            assert co == oracle.oracle_torus_records(
+                preset, dims, collectives, vector_bytes=N_BYTES
+            ) and co
 
-    def test_profile_cache_engines_agree_including_analytic(self):
-        # p=256 allreduce/ring crosses ANALYTIC_THRESHOLD: the compiled
-        # cache must hand the analytic builder its CSR table and still
-        # produce the same profile object graph
-        preset = lumi()
+    def test_profile_cache_matches_oracle_including_analytic(self):
+        # p=256 allreduce/ring crosses ANALYTIC_THRESHOLD: the cache must
+        # hand the analytic builder its CSR table and still produce the
+        # same profile object graph
+        cache = ProfileCache(lumi())
+        routes = oracle.RouteTable(cache.topo)
         spec = spec_for("allreduce", "ring")
-        py = ProfileCache(preset, profile_engine="python")
-        co = ProfileCache(preset, profile_engine="compiled")
-        assert py.get(spec, 256) == co.get(spec, 256)
-        assert py.get(spec, 16) == co.get(spec, 16)
+        for p in (256, 16):
+            assert cache.get(spec, p) == oracle.oracle_profile(
+                cache, spec, p, 1, routes
+            )
 
 
 class TestTransferTableMemo:
@@ -349,16 +361,13 @@ class TestTransferTableMemo:
 class TestEngineKnob:
     def test_default_is_compiled(self):
         assert resolve_profile_engine() == "compiled"
-        assert resolve_profile_engine("python") == "python"
+        assert resolve_profile_engine("des") == "des"
 
-    def test_env_var_sets_default_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_ENGINE", "python")
-        assert resolve_profile_engine() == "python"
-        # an explicit engine must survive the env var: the perf bench and
-        # this suite pin both engines to compare them against each other
-        assert resolve_profile_engine("compiled") == "compiled"
-        monkeypatch.setenv("REPRO_PROFILE_ENGINE", "")
-        assert resolve_profile_engine() == "compiled"
+    def test_retired_python_engine_names_replacement(self):
+        with pytest.raises(ValueError, match="'compiled'"):
+            resolve_profile_engine("python")
+        with pytest.raises(ValueError, match="'compiled'"):
+            ProfileCache(lumi(), profile_engine="python")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown profile engine"):

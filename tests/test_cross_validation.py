@@ -5,7 +5,7 @@ import pytest
 
 from repro.collectives.registry import ALGORITHMS, build
 from repro.collectives.verify import init_buffers
-from repro.model.simulator import evaluate_time, profile_schedule
+from repro.model import evaluate_time, profile_schedule
 from repro.model.traffic import global_traffic_elems, traffic_by_class
 from repro.runtime import execute
 from repro.topology.dragonfly import Dragonfly

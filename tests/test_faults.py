@@ -22,6 +22,8 @@ from repro.topology.base import LinkClass
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.mapping import allocation_mapping
 
+from oracle_profile import oracle_sweep_records
+
 
 class TestFaultSpec:
     def test_parse_label_round_trip(self):
@@ -226,17 +228,13 @@ class TestFaultedSweeps:
 
     @pytest.mark.parametrize("ppn", [1, 2])
     def test_engines_bit_identical_under_faults(self, ppn):
-        # detour rerouting must agree between engines at every ranks-per-
-        # node factor, and the records must carry the ppn they swept
-        compiled = sweep_system(
-            lumi(), faults=SPEC, profile_engine="compiled", ppn=ppn,
-            **SWEEP_KWARGS
-        )
-        python = sweep_system(
-            lumi(), faults=SPEC, profile_engine="python", ppn=ppn,
-            **SWEEP_KWARGS
-        )
-        assert compiled == python
+        # detour rerouting must agree with the scalar oracle at every
+        # ranks-per-node factor, and the records must carry the ppn they
+        # swept
+        cache = ProfileCache(lumi(), faults=SPEC)
+        compiled = sweep_system(lumi(), cache=cache, ppn=ppn, **SWEEP_KWARGS)
+        assert compiled == oracle_sweep_records(cache, ppn=ppn, **SWEEP_KWARGS)
+        assert {r.faults for r in compiled} == {SPEC.label}
         assert {r.ppn for r in compiled} == {ppn}
 
     def test_parallel_identical_to_serial_under_faults(self):

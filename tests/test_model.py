@@ -4,7 +4,7 @@ import pytest
 
 from repro.collectives.registry import build
 from repro.model.cost import CostParams
-from repro.model.simulator import evaluate_time, profile_schedule
+from repro.model import evaluate_time, profile_schedule
 from repro.model.traffic import (
     global_traffic_elems,
     link_loads_per_step,

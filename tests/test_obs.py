@@ -160,7 +160,7 @@ class TestMetricsRegistry:
             cache = ProfileCache(preset)
             sweep_system(preset, cache=cache, **kwargs)
             counters = obs.counters()
-            assert counters["cache.route.miss"] == len(cache.croutes)
+            assert counters["cache.route.miss"] == len(cache.routes)
             assert counters["cache.route.hit"] > 0
             misses.append(counters["cache.route.miss"])
         assert misses[0] == misses[1] > 0

@@ -27,7 +27,7 @@ from repro.core.negabinary import (
     rank_to_nb_table,
     to_negabinary,
 )
-from repro.model.simulator import RouteTable, evaluate_time, profile_schedule
+from repro.model import CompiledRouteTable, evaluate_time, profile_schedule
 from repro.runtime.schedule import (
     Schedule,
     Step,
@@ -95,7 +95,7 @@ class TestSharedRouteTable:
     def test_shared_routes_equal_private_routes(self):
         topo = lumi().build_topology()
         mapping = block_mapping(32)
-        shared = RouteTable(topo)
+        shared = CompiledRouteTable(topo)
         for flavor in ("bine-send", "bine-natural"):
             for builder in (
                 lambda bf, n: allgather_butterfly(bf, n, Strategy.NATURAL),
@@ -111,7 +111,7 @@ class TestSharedRouteTable:
         topo_b = lumi().build_topology()
         sched = allgather_butterfly(bine_butterfly_doubling(8), 8)
         with pytest.raises(ValueError, match="different topology"):
-            profile_schedule(sched, topo_a, block_mapping(8), routes=RouteTable(topo_b))
+            profile_schedule(sched, topo_a, block_mapping(8), routes=CompiledRouteTable(topo_b))
 
 
 class TestOptionalValidation:

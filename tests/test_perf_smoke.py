@@ -17,8 +17,7 @@ from repro.collectives.registry import build
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
 from repro.core.butterfly import bine_butterfly_doubling
 from repro.model.analytic import pairwise_alltoall_profile
-from repro.model.compiled import CompiledRouteTable
-from repro.model.simulator import profile_schedule
+from repro.model.compiled import CompiledRouteTable, profile_schedule
 from repro.runtime.compiled import compile_plan
 from repro.runtime.executor import execute
 from repro.runtime.schedule import schedule_validation

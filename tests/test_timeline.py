@@ -246,11 +246,20 @@ class TestManifestEngine:
         # engine and timeline survive the to_dict/from_dict round trip
         assert manifest_from_dict(manifest_to_dict(m)) == m
 
-    def test_unknown_engine_rejected(self):
+    def test_unknown_engine_rejected(self, tmp_path, capsys):
         data = json.loads(json.dumps(self.BASE))
         data["campaign"]["engine"] = "quantum"
         with pytest.raises(ManifestError, match="unknown engine"):
             manifest_from_dict(data)
+        # the retired scalar engine names its replacement, and the CLI
+        # exits 2 like any other invalid manifest
+        data["campaign"]["engine"] = "python"
+        with pytest.raises(ManifestError, match='use "compiled"'):
+            manifest_from_dict(data)
+        path = tmp_path / "python_engine.json"
+        path.write_text(json.dumps(data))
+        assert main(["campaign", str(path)]) == 2
+        assert 'use "compiled"' in capsys.readouterr().err
 
 
 class TestZeroWidthDerate:

@@ -77,11 +77,7 @@ class TestGoldenTuneArtifact:
             assert sub.n_grid == SIZES
             assert sub.cells == len(NODES) * len(SIZES)
 
-    @pytest.mark.parametrize("mode", [
-        {"workers": 2},
-        {"profile_engine": "python"},
-        {"workers": 2, "profile_engine": "python"},
-    ])
+    @pytest.mark.parametrize("mode", [{"workers": 2}])
     def test_byte_identical_across_execution_modes(self, built, mode):
         table, _ = built
         again, _ = build_golden_table(**mode)
