@@ -128,6 +128,7 @@ def memo_cache_registry() -> dict[str, tuple]:
     """
     from repro.collectives import butterfly_collectives as _bc
     from repro.collectives import common as _common
+    from repro.collectives import fastresp as _fastresp
     from repro.collectives import verify as _verify
     from repro.core import bine_tree as _bine
     from repro.core import negabinary as _nb
@@ -149,6 +150,7 @@ def memo_cache_registry() -> dict[str, tuple]:
         "common._pi_table": lru(_common._pi_table),
         "common._pi_inv_table": lru(_common._pi_inv_table),
         "butterfly_collectives._SEG_CACHE": table(_bc._SEG_CACHE),
+        "fastresp._STATS_CACHE": table(_fastresp._STATS_CACHE),
         "verify._PLAN_CACHE": table(_verify._PLAN_CACHE),
         "verify._PATTERN_CACHE": table(_verify._PATTERN_CACHE),
         "compiled._TABLE_CACHE": table(_compiled._TABLE_CACHE),
@@ -168,7 +170,8 @@ def clear_memo_caches() -> None:
 
     Used by cold-start benchmarks (and available to long-lived services that
     want to bound memory): clears the per-``p`` negabinary/ν/π label tables,
-    the cross-schedule butterfly segment cache, the compiled-executor
+    the cross-schedule butterfly segment cache, the per-``(kind, p)``
+    butterfly responsibility statistics, the compiled-executor
     plan and input-pattern caches, and the compiled-profiler
     transfer-table cache — everything :func:`memo_cache_registry`
     enumerates.  Per-:class:`ProfileCache` state (route tables, profiles,

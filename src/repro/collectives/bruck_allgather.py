@@ -40,11 +40,11 @@ def _build(p: int, n: int, name: str, per_block: bool) -> Schedule:
         for r in range(p):
             src = (r + h) % p
             # r pulls src's first c blocks [src, src+c) into the same slots.
-            blocks = CircularRange(src, c, p).indices()
+            pulled = CircularRange(src, c, p)
             if per_block:
-                segs = tuple(part.bounds(b) for b in blocks)
+                segs = tuple(part.bounds(b) for b in pulled.indices())
             else:
-                segs = tuple(part.segments(blocks))
+                segs = tuple(pulled.segments(part))
             transfers.append(
                 Transfer(
                     src=src, dst=r, src_buf=VEC, dst_buf=VEC,

@@ -24,6 +24,15 @@ The four non-contiguous-data strategies of Sec. 4.3.1 map onto layouts:
                           natural responsibility sets are circular ranges
                           (≤ 2 segments) at the price of more global traffic
 ========================  ============================================
+
+Each builder has a columnar twin (:func:`reduce_scatter_table`,
+:func:`allgather_table`, :func:`allreduce_recursive_table`,
+:func:`allreduce_rsag_table`) that emits the profiler's
+:class:`~repro.model.compiled.TransferTable` at the canonical size
+``n = p`` straight from the per-``(step, rank)`` set statistics of
+:func:`~repro.collectives.fastresp.resp_stats` — equal to lowering the
+built schedule, with the same checks, but with no ``Transfer`` objects.
+The object builders stay the input of the executor and validation.
 """
 
 from __future__ import annotations
@@ -46,7 +55,15 @@ from repro.collectives.common import (
     global_pi_inv,
     require_divisible,
 )
-from repro.collectives.fastresp import resp_backend, sorted_runs
+from repro.collectives.fastresp import (
+    CANONICAL_KINDS,
+    RespStats,
+    resp_backend,
+    resp_stats,
+    sorted_runs,
+)
+from repro.model.compiled import StepColumns, TransferTable, table_from_steps
+from repro.runtime.errors import ScheduleError
 from repro.runtime.schedule import LocalCopy, Schedule, Step, Transfer
 
 __all__ = [
@@ -54,6 +71,10 @@ __all__ = [
     "allgather_butterfly",
     "allreduce_recursive",
     "allreduce_reduce_scatter_allgather",
+    "reduce_scatter_table",
+    "allgather_table",
+    "allreduce_recursive_table",
+    "allreduce_rsag_table",
     "rs_butterfly_for",
     "RS_FLAVORS",
 ]
@@ -89,17 +110,6 @@ def _segments_for(part: Partition, blocks: np.ndarray, strategy: Strategy):
     return tuple(part.segments(blocks.tolist()))
 
 
-#: butterfly kinds whose matching (hence responsibility sets) is a pure
-#: function of (kind, p) — safe keys for the cross-schedule segment cache.
-#: Swing shares the distance-doubling Bine sets, so the two kinds alias.
-_CACHEABLE_KINDS = {
-    "bine-doubling": "bine-doubling",
-    "swing": "bine-doubling",
-    "bine-halving": "bine-halving",
-    "recdoub": "recdoub",
-    "rechalv": "rechalv",
-}
-
 #: (kind, p, strategy/π, step, rank) → segment tuple at the canonical build
 #: size.  Reduce-scatter and allgather walk the same responsibility sets
 #: (allreduce builds both back to back, and sweep campaigns revisit the same
@@ -109,7 +119,7 @@ _SEG_CACHE: dict[tuple, tuple] = {}
 
 def _seg_getter(bf: Butterfly, part: Partition, resp, strategy: Strategy):
     """``segs(rank, step)`` with cross-schedule caching at canonical size."""
-    ckind = _CACHEABLE_KINDS.get(bf.kind)
+    ckind = CANONICAL_KINDS.get(bf.kind)
     if ckind is None or part.n != part.p:
         return lambda rank, step: _segments_for(part, resp(rank, step), strategy)
 
@@ -127,7 +137,7 @@ def _seg_getter(bf: Butterfly, part: Partition, resp, strategy: Strategy):
 
 def _pi_window_getter(bf: Butterfly, resp, pi_arr: np.ndarray, block_size: int):
     """``window(rank, step)`` for π-space flows, cached like :func:`_seg_getter`."""
-    ckind = _CACHEABLE_KINDS.get(bf.kind)
+    ckind = CANONICAL_KINDS.get(bf.kind)
     p = bf.p
 
     def compute(rank: int, step: int):
@@ -483,3 +493,203 @@ def allreduce_reduce_scatter_allgather(
     else:
         sched.steps = list(rs.steps) + list(ag.steps)
     return sched.finalize()
+
+
+# -- columnar lowering -------------------------------------------------------
+#
+# The twins below emit, step for step, the rows lower_schedule() would make
+# of the builders above at n = p (block size 1): same step order, transfer
+# order (ranks ascending) and local-op order, with sizes and segment counts
+# read from resp_stats() instead of summed from segment tuples.
+
+
+def _copies(ranks: np.ndarray, *sizes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local-op rows: per size in ``sizes``, one non-reducing copy of that
+    many elements at every rank of ``ranks``."""
+    return (
+        np.tile(ranks, len(sizes)),
+        np.repeat(np.asarray(sizes, np.int64), ranks.size),
+        np.zeros(ranks.size * len(sizes), bool),
+    )
+
+
+def _exchange(
+    src: np.ndarray, dst: np.ndarray, nelems: np.ndarray, nseg, has_op: bool,
+    tag: str, local: tuple = (),
+) -> StepColumns:
+    """One step's transfer rows, with ``Transfer``'s self-send check."""
+    hit = np.flatnonzero(src == dst)
+    if hit.size:
+        raise ScheduleError(f"transfer to self at rank {int(src[hit[0]])} ({tag})")
+    return StepColumns(
+        src, dst, nelems, np.broadcast_to(nseg, src.shape),
+        np.full(src.size, has_op), *local,
+    )
+
+
+def _check_windows(bf: Butterfly, stats: RespStats, step: int, ranks: np.ndarray) -> None:
+    """:func:`_pi_window`'s check over a whole step, first failing rank first."""
+    bad = np.flatnonzero(~stats.pi_contiguous[step, ranks])
+    if bad.size:
+        raise AssertionError(
+            f"π window not contiguous for {bf.kind} rank {int(ranks[bad[0]])} step {step}"
+        )
+
+
+#: strategies whose sends are single π-space windows
+_PI_SPACE = (Strategy.PERMUTE, Strategy.SEND)
+
+
+def _seg_counts(stats: RespStats, step: int, ranks: np.ndarray, strategy: Strategy):
+    """Wire segments per send of ``resp(ranks, step)`` under ``strategy``."""
+    if strategy is Strategy.BLOCKS:
+        return stats.size[step, ranks]
+    if strategy in _PI_SPACE:
+        return 1
+    return stats.runs[step, ranks]
+
+
+def _rs_steps(
+    bf: Butterfly, op: str | None, strategy: Strategy, *, fixup: bool, unpack: bool
+) -> list[StepColumns]:
+    """Rows of :func:`reduce_scatter_butterfly` at ``n = p``; ``unpack=False``
+    drops the PERMUTE permute-out (the allreduce seam)."""
+    p, s = bf.p, bf.num_steps
+    stats = resp_stats(bf)
+    ranks = np.arange(p, dtype=np.intp)
+    permute = strategy is Strategy.PERMUTE
+    steps = []
+    for j in range(s):
+        q = np.asarray(bf.partners[j], dtype=np.intp)
+        if strategy in _PI_SPACE:
+            _check_windows(bf, stats, j + 1, q)
+        # PERMUTE: permute-in (whole vector) before step 0, permute-out
+        # (own block) after the last step
+        pre = [p] if permute and j == 0 else []
+        post = [1] if permute and unpack and j == s - 1 else []
+        steps.append(_exchange(
+            ranks, q, stats.size[j + 1, q], _seg_counts(stats, j + 1, q, strategy),
+            op is not None, f"rs[{j}]", _copies(ranks, *pre, *post),
+        ))
+    if strategy is Strategy.SEND and fixup:
+        pi = np.asarray(global_pi(p), dtype=np.intp)
+        moved = ranks[pi != ranks]
+        steps.append(_exchange(
+            moved, pi[moved], np.ones(moved.size, np.int64), 1, False, "rs send-fixup"
+        ))
+    return steps
+
+
+def _ag_steps(
+    bf: Butterfly, strategy: Strategy, *, initial_exchange: bool, pack: bool
+) -> list[StepColumns]:
+    """Rows of :func:`allgather_butterfly` at ``n = p``; ``pack=False``
+    drops the PERMUTE permute-in step (the allreduce seam)."""
+    p, s = bf.p, bf.num_steps
+    stats = resp_stats(bf)
+    ranks = np.arange(p, dtype=np.intp)
+    permute = strategy is Strategy.PERMUTE
+    steps = []
+    if permute and pack:
+        none = np.zeros(0, np.intp)
+        steps.append(_exchange(
+            none, none, none, 1, False, "ag permute-in", _copies(ranks, 1)
+        ))
+    elif strategy is Strategy.SEND and initial_exchange:
+        pi_inv = np.asarray(global_pi_inv(p), dtype=np.intp)
+        moved = ranks[pi_inv != ranks]
+        steps.append(_exchange(
+            moved, pi_inv[moved], np.ones(moved.size, np.int64), 1, False,
+            "ag send-reorder",
+        ))
+    for k in range(s):
+        j = s - 1 - k
+        if strategy in _PI_SPACE:
+            _check_windows(bf, stats, j + 1, ranks)
+        post = [p] if permute and k == s - 1 else []
+        steps.append(_exchange(
+            ranks, np.asarray(bf.partners[j], dtype=np.intp), stats.size[j + 1],
+            _seg_counts(stats, j + 1, ranks, strategy), False, f"ag[{k}]",
+            _copies(ranks, *post),
+        ))
+    return steps
+
+
+def _phase_meta(collective: str, bf: Butterfly, strategy: Strategy, **extra) -> dict:
+    return {
+        "collective": collective, "algorithm": bf.kind,
+        "strategy": strategy.value, "p": bf.p, "n": bf.p, **extra,
+    }
+
+
+def reduce_scatter_table(
+    bf: Butterfly,
+    op: str = "sum",
+    strategy: Strategy = Strategy.NATURAL,
+    *,
+    fixup: bool = True,
+) -> TransferTable:
+    """``lower_schedule(reduce_scatter_butterfly(bf, bf.p, op, strategy,
+    fixup=fixup))``, emitted without building the schedule.
+
+    Example::
+
+        >>> from repro.core.butterfly import bine_butterfly_doubling
+        >>> t = reduce_scatter_table(bine_butterfly_doubling(8), strategy=Strategy.SEND)
+        >>> t.num_steps, t.nelems[:8].tolist(), int(t.num_segments.max())
+        (4, [4, 4, 4, 4, 4, 4, 4, 4], 1)
+    """
+    steps = _rs_steps(bf, op, strategy, fixup=fixup, unpack=True)
+    return table_from_steps(
+        bf.p, _phase_meta("reduce_scatter", bf, strategy, op=op), steps
+    )
+
+
+def allgather_table(
+    bf: Butterfly,
+    strategy: Strategy = Strategy.NATURAL,
+    *,
+    initial_exchange: bool = True,
+) -> TransferTable:
+    """``lower_schedule(allgather_butterfly(bf, bf.p, strategy,
+    initial_exchange=initial_exchange))``, emitted without building it."""
+    steps = _ag_steps(bf, strategy, initial_exchange=initial_exchange, pack=True)
+    return table_from_steps(bf.p, _phase_meta("allgather", bf, strategy), steps)
+
+
+def allreduce_recursive_table(bf: Butterfly, op: str = "sum") -> TransferTable:
+    """``lower_schedule(allreduce_recursive(bf, bf.p, op))``, without building it."""
+    p = bf.p
+    ranks = np.arange(p, dtype=np.intp)
+    steps = [
+        _exchange(
+            ranks, np.asarray(bf.partners[j], dtype=np.intp),
+            np.full(p, p, np.int64), 1, op is not None, f"ar[{j}]",
+        )
+        for j in range(bf.num_steps)
+    ]
+    meta = {
+        "collective": "allreduce", "algorithm": f"recursive-{bf.kind}",
+        "p": p, "n": p, "op": op,
+    }
+    return table_from_steps(p, meta, steps)
+
+
+def allreduce_rsag_table(
+    bf: Butterfly,
+    op: str = "sum",
+    strategy: Strategy = Strategy.NATURAL,
+    *,
+    segmented: bool = False,
+) -> TransferTable:
+    """``lower_schedule(allreduce_reduce_scatter_allgather(bf, bf.p, op,
+    strategy, segmented=segmented))``, emitted without building it."""
+    seam = strategy is not Strategy.PERMUTE
+    steps = _rs_steps(bf, op, strategy, fixup=False, unpack=seam)
+    steps += _ag_steps(bf, strategy, initial_exchange=False, pack=seam)
+    meta = {
+        "collective": "allreduce", "algorithm": f"rsag-{bf.kind}",
+        "strategy": strategy.value, "p": bf.p, "n": bf.p, "op": op,
+        "segmented": segmented,
+    }
+    return table_from_steps(bf.p, meta, steps)

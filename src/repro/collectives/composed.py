@@ -12,10 +12,16 @@
   sends (for root 0; other roots are correct but may need extra segments).
 * **hierarchical allreduce** (Sec. 6.2) — intra-node reduce-scatter →
   inter-node Bine allreduce per GPU slice → intra-node allgather.
+
+The ``*_table`` twins of the broadcast/reduce builders return the lowered
+:class:`~repro.model.compiled.TransferTable` at the canonical size
+``n = p``: the tree half is built and lowered as usual (``p − 1``
+transfers), the butterfly half is emitted column by column.
 """
 
 from __future__ import annotations
 
+from repro import obs
 from repro.core.bine_tree import (
     bine_tree_distance_doubling,
     bine_tree_distance_halving,
@@ -29,8 +35,10 @@ from repro.core.coverage import segments_of
 from repro.core.tree import Tree
 from repro.collectives.butterfly_collectives import (
     allgather_butterfly,
+    allgather_table,
     allreduce_reduce_scatter_allgather,
     reduce_scatter_butterfly,
+    reduce_scatter_table,
 )
 from repro.collectives.common import (
     Strategy,
@@ -40,6 +48,7 @@ from repro.collectives.common import (
     require_pow2,
 )
 from repro.collectives.tree_collectives import gather_from_tree, scatter_from_tree
+from repro.model.compiled import TransferTable, concat_tables, lower_schedule
 from repro.runtime.schedule import Schedule, Step, Transfer
 
 __all__ = [
@@ -47,9 +56,24 @@ __all__ = [
     "bcast_scatter_allgather_bine",
     "reduce_rsag_rabenseifner",
     "reduce_rsag_bine",
+    "bcast_scatter_allgather_binomial_table",
+    "bcast_scatter_allgather_bine_table",
+    "reduce_rsag_rabenseifner_table",
+    "reduce_rsag_bine_table",
     "hierarchical_allreduce_bine",
     "remap_schedule",
 ]
+
+
+def _lowered(tree_half: Schedule) -> TransferTable:
+    """:func:`lower_schedule` of a composed table's tree half, traced like
+    the lowerings of :func:`~repro.model.compiled.transfer_table_for`."""
+    meta = tree_half.meta
+    with obs.span(
+        "lower.schedule", collective=meta["collective"],
+        algorithm=meta["algorithm"], p=tree_half.p,
+    ):
+        return lower_schedule(tree_half)
 
 
 def _concat(meta: dict, *parts: Schedule) -> Schedule:
@@ -70,10 +94,21 @@ def bcast_scatter_allgather_binomial(p: int, n: int, root: int = 0) -> Schedule:
     tree = binomial_tree_distance_halving(p, root)
     scatter = scatter_from_tree(tree, n)
     ag = allgather_butterfly(recursive_halving_butterfly(p), n, Strategy.NATURAL)
-    return _concat(
-        {"collective": "bcast", "algorithm": "scatter-allgather-binomial",
-         "p": p, "n": n, "root": root},
-        scatter, ag,
+    return _concat(_bcast_meta("scatter-allgather-binomial", p, n, root), scatter, ag)
+
+
+def _bcast_meta(algorithm: str, p: int, n: int, root: int) -> dict:
+    return {"collective": "bcast", "algorithm": algorithm,
+            "p": p, "n": n, "root": root}
+
+
+def bcast_scatter_allgather_binomial_table(p: int, root: int = 0) -> TransferTable:
+    """Lowered :func:`bcast_scatter_allgather_binomial` at ``n = p``."""
+    require_pow2(p, "scatter+allgather broadcast")
+    scatter = scatter_from_tree(binomial_tree_distance_halving(p, root), p)
+    ag = allgather_table(recursive_halving_butterfly(p), Strategy.NATURAL)
+    return concat_tables(
+        _bcast_meta("scatter-allgather-binomial", p, p, root), _lowered(scatter), ag
     )
 
 
@@ -122,10 +157,18 @@ def bcast_scatter_allgather_bine(p: int, n: int, root: int = 0) -> Schedule:
     ag = allgather_butterfly(
         bine_butterfly_doubling(p), n, Strategy.SEND, initial_exchange=False
     )
-    return _concat(
-        {"collective": "bcast", "algorithm": "scatter-allgather-bine",
-         "p": p, "n": n, "root": root},
-        scatter, ag,
+    return _concat(_bcast_meta("scatter-allgather-bine", p, n, root), scatter, ag)
+
+
+def bcast_scatter_allgather_bine_table(p: int, root: int = 0) -> TransferTable:
+    """Lowered :func:`bcast_scatter_allgather_bine` at ``n = p``."""
+    require_pow2(p, "bine large broadcast")
+    scatter = _pi_tree_scatter(bine_tree_distance_doubling(p, root), p)
+    ag = allgather_table(
+        bine_butterfly_doubling(p), Strategy.SEND, initial_exchange=False
+    )
+    return concat_tables(
+        _bcast_meta("scatter-allgather-bine", p, p, root), _lowered(scatter), ag
     )
 
 
@@ -136,10 +179,23 @@ def reduce_rsag_rabenseifner(p: int, n: int, root: int = 0, op: str = "sum") -> 
         recursive_halving_butterfly(p), n, op, Strategy.NATURAL
     )
     gather = gather_from_tree(binomial_tree_distance_halving(p, root), n)
-    return _concat(
-        {"collective": "reduce", "algorithm": "rabenseifner",
-         "p": p, "n": n, "root": root, "op": op},
-        rs, gather,
+    return _concat(_reduce_meta("rabenseifner", p, n, root, op), rs, gather)
+
+
+def _reduce_meta(algorithm: str, p: int, n: int, root: int, op: str) -> dict:
+    return {"collective": "reduce", "algorithm": algorithm,
+            "p": p, "n": n, "root": root, "op": op}
+
+
+def reduce_rsag_rabenseifner_table(
+    p: int, root: int = 0, op: str = "sum"
+) -> TransferTable:
+    """Lowered :func:`reduce_rsag_rabenseifner` at ``n = p``."""
+    require_pow2(p, "Rabenseifner reduce")
+    rs = reduce_scatter_table(recursive_halving_butterfly(p), op, Strategy.NATURAL)
+    gather = gather_from_tree(binomial_tree_distance_halving(p, root), p)
+    return concat_tables(
+        _reduce_meta("rabenseifner", p, p, root, op), rs, _lowered(gather)
     )
 
 
@@ -183,10 +239,18 @@ def reduce_rsag_bine(p: int, n: int, root: int = 0, op: str = "sum") -> Schedule
         bine_butterfly_doubling(p), n, op, Strategy.SEND, fixup=False
     )
     gather = _pi_tree_gather(bine_tree_distance_doubling(p, root), n)
-    return _concat(
-        {"collective": "reduce", "algorithm": "rsag-bine",
-         "p": p, "n": n, "root": root, "op": op},
-        rs, gather,
+    return _concat(_reduce_meta("rsag-bine", p, n, root, op), rs, gather)
+
+
+def reduce_rsag_bine_table(p: int, root: int = 0, op: str = "sum") -> TransferTable:
+    """Lowered :func:`reduce_rsag_bine` at ``n = p``."""
+    require_pow2(p, "bine large reduce")
+    rs = reduce_scatter_table(
+        bine_butterfly_doubling(p), op, Strategy.SEND, fixup=False
+    )
+    gather = _pi_tree_gather(bine_tree_distance_doubling(p, root), p)
+    return concat_tables(
+        _reduce_meta("rsag-bine", p, p, root, op), rs, _lowered(gather)
     )
 
 

@@ -7,11 +7,15 @@ algorithms as ``(collective, name)``.  Each entry knows its family (``bine``
 constraints (power-of-two ranks, divisibility).
 
 Builders share the signature ``build(p, n, root=0, op="sum") -> Schedule``.
+Entries built from a butterfly phase also carry a columnar lowering
+(``columnar(p) -> TransferTable``), which the profiler's
+:func:`~repro.model.compiled.transfer_table_for` uses instead of building
+and lowering the schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.bine_tree import (
@@ -34,16 +38,24 @@ from repro.collectives import ring as ringmod
 from repro.collectives.bruck_allgather import allgather_bruck, allgather_sparbit
 from repro.collectives.butterfly_collectives import (
     allgather_butterfly,
+    allgather_table,
     allreduce_recursive,
+    allreduce_recursive_table,
     allreduce_reduce_scatter_allgather,
+    allreduce_rsag_table,
     reduce_scatter_butterfly,
+    reduce_scatter_table,
 )
 from repro.collectives.common import Strategy
 from repro.collectives.composed import (
     bcast_scatter_allgather_bine,
+    bcast_scatter_allgather_bine_table,
     bcast_scatter_allgather_binomial,
+    bcast_scatter_allgather_binomial_table,
     reduce_rsag_bine,
+    reduce_rsag_bine_table,
     reduce_rsag_rabenseifner,
+    reduce_rsag_rabenseifner_table,
 )
 from repro.collectives.tree_collectives import (
     bcast_from_tree,
@@ -51,6 +63,7 @@ from repro.collectives.tree_collectives import (
     reduce_from_tree,
     scatter_from_tree,
 )
+from repro.model.compiled import TransferTable
 from repro.runtime.schedule import Schedule
 
 __all__ = [
@@ -88,6 +101,11 @@ class AlgorithmSpec:
     #: optional sweep cap: schedules with Θ(p²) wire segments (per-block
     #: strategies) are skipped above this rank count
     max_p: int | None = None
+    #: internal: ``lower_schedule(build(p, p))`` emitted without building the
+    #: schedule (butterfly-based entries); not a user-facing choice
+    columnar: Callable[[int], TransferTable] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def build(self, p: int, n: int, root: int = 0, op: str = "sum") -> Schedule:
         return self.builder(p, n, root, op)
@@ -111,6 +129,41 @@ class AlgorithmSpec:
 
 
 ALGORITHMS: dict[tuple[str, str], AlgorithmSpec] = {}
+
+
+def _rs(butterfly, strategy: Strategy) -> dict:
+    """``builder`` + ``columnar`` of a butterfly reduce-scatter entry."""
+    return dict(
+        builder=lambda p, n, root, op: reduce_scatter_butterfly(
+            butterfly(p), n, op, strategy),
+        columnar=lambda p: reduce_scatter_table(butterfly(p), "sum", strategy),
+    )
+
+
+def _ag(butterfly, strategy: Strategy) -> dict:
+    """``builder`` + ``columnar`` of a butterfly allgather entry."""
+    return dict(
+        builder=lambda p, n, root, op: allgather_butterfly(butterfly(p), n, strategy),
+        columnar=lambda p: allgather_table(butterfly(p), strategy),
+    )
+
+
+def _recursive(butterfly) -> dict:
+    """``builder`` + ``columnar`` of a whole-vector butterfly allreduce."""
+    return dict(
+        builder=lambda p, n, root, op: allreduce_recursive(butterfly(p), n, op),
+        columnar=lambda p: allreduce_recursive_table(butterfly(p)),
+    )
+
+
+def _rsag(butterfly, strategy: Strategy, segmented: bool = False) -> dict:
+    """``builder`` + ``columnar`` of a reduce-scatter + allgather allreduce."""
+    return dict(
+        builder=lambda p, n, root, op: allreduce_reduce_scatter_allgather(
+            butterfly(p), n, op, strategy, segmented=segmented),
+        columnar=lambda p: allreduce_rsag_table(
+            butterfly(p), "sum", strategy, segmented=segmented),
+    )
 
 
 def _register(spec: AlgorithmSpec) -> None:
@@ -207,11 +260,13 @@ _register(AlgorithmSpec(
 _register(AlgorithmSpec(
     "bcast", "scatter-allgather", "binomial",
     lambda p, n, root, op: bcast_scatter_allgather_binomial(p, n, root),
+    columnar=bcast_scatter_allgather_binomial_table,
     description="MPICH large-vector broadcast: binomial scatter + recdoub allgather",
 ))
 _register(AlgorithmSpec(
     "bcast", "bine-scatter-allgather", "bine",
     lambda p, n, root, op: bcast_scatter_allgather_bine(p, n, root),
+    columnar=bcast_scatter_allgather_bine_table,
     needs_divisible=True,
     description="Bine large-vector broadcast: dd-tree π scatter + dh butterfly allgather",
 ))
@@ -237,11 +292,13 @@ _register(AlgorithmSpec(
 _register(AlgorithmSpec(
     "reduce", "rabenseifner", "binomial",
     lambda p, n, root, op: reduce_rsag_rabenseifner(p, n, root, op),
+    columnar=reduce_rsag_rabenseifner_table,
     description="reduce-scatter + binomial gather (the standard butterfly large reduce)",
 ))
 _register(AlgorithmSpec(
     "reduce", "bine-rsag", "bine",
     lambda p, n, root, op: reduce_rsag_bine(p, n, root, op),
+    columnar=reduce_rsag_bine_table,
     needs_divisible=True,
     description="Bine large reduce: dd butterfly RS (send) + reversed dd-tree gather",
 ))
@@ -287,7 +344,7 @@ _register(AlgorithmSpec(
 # --------------------------------------------------------------------------
 _register(AlgorithmSpec(
     "allgather", "recursive-doubling", "binomial",
-    lambda p, n, root, op: allgather_butterfly(recursive_halving_butterfly(p), n, Strategy.NATURAL),
+    **_ag(recursive_halving_butterfly, Strategy.NATURAL),
     description="standard recursive-doubling allgather (contiguous)",
 ))
 _register(AlgorithmSpec(
@@ -310,7 +367,7 @@ _register(AlgorithmSpec(
 ))
 _register(AlgorithmSpec(
     "allgather", "swing", "swing",
-    lambda p, n, root, op: allgather_butterfly(swing_butterfly(p), n, Strategy.NATURAL),
+    **_ag(swing_butterfly, Strategy.NATURAL),
     description="Swing allgather (Bine matchings, natural non-contiguous blocks)",
 ))
 for _strat, _div in (
@@ -319,16 +376,14 @@ for _strat, _div in (
 ):
     _register(AlgorithmSpec(
         "allgather", f"bine-{_strat.value}", "bine",
-        (lambda strat: lambda p, n, root, op: allgather_butterfly(
-            bine_butterfly_doubling(p), n, strat))(_strat),
+        **_ag(bine_butterfly_doubling, _strat),
         needs_divisible=_div,
         max_p=512 if _strat is Strategy.BLOCKS else None,
         description=f"Bine allgather, {_strat.value} strategy (Sec. 4.3.1)",
     ))
 _register(AlgorithmSpec(
     "allgather", "bine-two-transmissions", "bine",
-    lambda p, n, root, op: allgather_butterfly(
-        bine_butterfly_halving(p), n, Strategy.TWO_TRANSMISSIONS),
+    **_ag(bine_butterfly_halving, Strategy.TWO_TRANSMISSIONS),
     description="Bine allgather via dist-halving-RS reversal (≤2 segments)",
 ))
 
@@ -337,8 +392,7 @@ _register(AlgorithmSpec(
 # --------------------------------------------------------------------------
 _register(AlgorithmSpec(
     "reduce_scatter", "recursive-halving", "binomial",
-    lambda p, n, root, op: reduce_scatter_butterfly(
-        recursive_halving_butterfly(p), n, op, Strategy.NATURAL),
+    **_rs(recursive_halving_butterfly, Strategy.NATURAL),
     description="standard recursive-halving reduce-scatter",
 ))
 _register(AlgorithmSpec(
@@ -349,8 +403,7 @@ _register(AlgorithmSpec(
 ))
 _register(AlgorithmSpec(
     "reduce_scatter", "swing", "swing",
-    lambda p, n, root, op: reduce_scatter_butterfly(
-        swing_butterfly(p), n, op, Strategy.NATURAL),
+    **_rs(swing_butterfly, Strategy.NATURAL),
     description="Swing reduce-scatter (natural non-contiguous blocks)",
 ))
 for _strat, _div in (
@@ -359,16 +412,14 @@ for _strat, _div in (
 ):
     _register(AlgorithmSpec(
         "reduce_scatter", f"bine-{_strat.value}", "bine",
-        (lambda strat: lambda p, n, root, op: reduce_scatter_butterfly(
-            bine_butterfly_doubling(p), n, op, strat))(_strat),
+        **_rs(bine_butterfly_doubling, _strat),
         needs_divisible=_div,
         max_p=512 if _strat is Strategy.BLOCKS else None,
         description=f"Bine reduce-scatter, {_strat.value} strategy",
     ))
 _register(AlgorithmSpec(
     "reduce_scatter", "bine-two-transmissions", "bine",
-    lambda p, n, root, op: reduce_scatter_butterfly(
-        bine_butterfly_halving(p), n, op, Strategy.TWO_TRANSMISSIONS),
+    **_rs(bine_butterfly_halving, Strategy.TWO_TRANSMISSIONS),
     description="Bine reduce-scatter on the dist-halving butterfly (≤2 segments)",
 ))
 
@@ -377,7 +428,7 @@ _register(AlgorithmSpec(
 # --------------------------------------------------------------------------
 _register(AlgorithmSpec(
     "allreduce", "recursive-doubling", "binomial",
-    lambda p, n, root, op: allreduce_recursive(recursive_doubling_butterfly(p), n, op),
+    **_recursive(recursive_doubling_butterfly),
     description="recursive-doubling allreduce (small vectors)",
 ))
 _register(AlgorithmSpec(
@@ -388,33 +439,29 @@ _register(AlgorithmSpec(
 ))
 _register(AlgorithmSpec(
     "allreduce", "rabenseifner", "binomial",
-    lambda p, n, root, op: allreduce_reduce_scatter_allgather(
-        recursive_halving_butterfly(p), n, op, Strategy.NATURAL),
+    **_rsag(recursive_halving_butterfly, Strategy.NATURAL),
     description="Rabenseifner allreduce: recursive halving RS + recdoub AG "
                 "(the standard butterfly large allreduce)",
 ))
 _register(AlgorithmSpec(
     "allreduce", "swing", "swing",
-    lambda p, n, root, op: allreduce_reduce_scatter_allgather(
-        swing_butterfly(p), n, op, Strategy.NATURAL),
+    **_rsag(swing_butterfly, Strategy.NATURAL),
     description="Swing allreduce (non-contiguous multi-segment sends)",
 ))
 _register(AlgorithmSpec(
     "allreduce", "bine-small", "bine",
-    lambda p, n, root, op: allreduce_recursive(bine_butterfly_halving(p), n, op),
+    **_recursive(bine_butterfly_halving),
     description="Bine small-vector allreduce: recursive doubling on Bine butterfly",
 ))
 _register(AlgorithmSpec(
     "allreduce", "bine-rsag", "bine",
-    lambda p, n, root, op: allreduce_reduce_scatter_allgather(
-        bine_butterfly_doubling(p), n, op, Strategy.SEND),
+    **_rsag(bine_butterfly_doubling, Strategy.SEND),
     needs_divisible=True,
     description="Bine large-vector allreduce: RS + AG in send mode (zero reordering)",
 ))
 _register(AlgorithmSpec(
     "allreduce", "bine-rsag-segmented", "bine",
-    lambda p, n, root, op: allreduce_reduce_scatter_allgather(
-        bine_butterfly_doubling(p), n, op, Strategy.SEND, segmented=True),
+    **_rsag(bine_butterfly_doubling, Strategy.SEND, segmented=True),
     needs_divisible=True,
     description="segmented Bine allreduce (pipelined chunks, Sec. 5.2.2)",
 ))

@@ -46,6 +46,13 @@ class Partition:
         lo = block * q + r
         return lo, lo + q
 
+    def offset(self, block: int) -> int:
+        """First element of ``block``; ``offset(p)`` is ``n``."""
+        if not 0 <= block <= self.p:
+            raise ValueError(f"block offset {block} out of range for p={self.p}")
+        q, r = self._q, self._r
+        return block * (q + 1) if block < r else block * q + r
+
     def segments(self, blocks) -> list[tuple[int, int]]:
         """Coalesced half-open element ranges covering ``blocks``.
 
@@ -154,11 +161,22 @@ class CircularRange:
         """Element segments (≤ 2) of the range under ``partition``.
 
         A wrapped range linearises to two segments — the "two transmissions"
-        of Sec. 4.3.1.
+        of Sec. 4.3.1 — in ascending order, coalesced into one when the
+        blocks between them are empty (``n < p``), exactly as
+        ``partition.segments(self.indices())`` would, in O(1).
         """
         if partition.p != self.p:
             raise ValueError("partition p mismatch")
-        return partition.segments(self.indices())
+        if self.length == 0:
+            return []
+        lo = partition.offset(self.start)
+        end = self.start + self.length
+        if end <= self.p:
+            return [(lo, partition.offset(end))]
+        head = partition.offset(end - self.p)
+        if head == lo:
+            return [(0, partition.n)]
+        return [(0, head), (lo, partition.n)]
 
 
 def wrap_range_from_set(blocks, p: int) -> CircularRange:

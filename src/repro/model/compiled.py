@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,9 @@ __all__ = [
     "CompiledRouteTable",
     "GridMetrics",
     "lower_schedule",
+    "StepColumns",
+    "table_from_steps",
+    "concat_tables",
     "transfer_table_for",
     "clear_table_cache",
     "profile_table",
@@ -196,6 +200,79 @@ def lower_schedule(schedule: Schedule) -> TransferTable:
     )
 
 
+class StepColumns(NamedTuple):
+    """One step's rows of a :class:`TransferTable`, for :func:`table_from_steps`.
+
+    Transfer columns first, then the step's local ops (``pre`` then
+    ``post``); a step without local ops leaves the last three empty.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    nelems: np.ndarray
+    num_segments: np.ndarray
+    has_op: np.ndarray
+    local_rank: np.ndarray = np.zeros(0, dtype=np.intp)
+    local_nelems: np.ndarray = np.zeros(0, dtype=np.int64)
+    local_has_op: np.ndarray = np.zeros(0, dtype=bool)
+
+
+_TRANSFER_COLUMNS = (
+    ("src", np.intp), ("dst", np.intp), ("nelems", np.int64),
+    ("num_segments", np.int64), ("has_op", bool),
+)
+_LOCAL_COLUMNS = (
+    ("local_rank", np.intp), ("local_nelems", np.int64), ("local_has_op", bool),
+)
+
+
+def _offsets(counts) -> np.ndarray:
+    off = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(np.asarray(counts, dtype=np.intp), out=off[1:])
+    return off
+
+
+def table_from_steps(p: int, meta: dict, steps: list[StepColumns]) -> TransferTable:
+    """Assemble per-step columns into a :class:`TransferTable`.
+
+    The columnar builders (:mod:`repro.collectives.butterfly_collectives`)
+    emit steps this way; the result equals :func:`lower_schedule` of the
+    schedule with the same steps, ``meta`` and ``n_build`` included.
+    """
+    def cat(name, dtype):
+        parts = [getattr(st, name) for st in steps]
+        return np.concatenate(parts).astype(dtype, copy=False) if parts else np.zeros(0, dtype)
+
+    return TransferTable(
+        p=p,
+        n_build=meta.get("n", p),
+        meta=dict(meta),
+        step_off=_offsets([len(st.src) for st in steps]),
+        local_off=_offsets([len(st.local_rank) for st in steps]),
+        **{name: cat(name, dtype) for name, dtype in _TRANSFER_COLUMNS + _LOCAL_COLUMNS},
+    )
+
+
+def concat_tables(meta: dict, *tables: TransferTable) -> TransferTable:
+    """The steps of ``tables`` run back to back, under ``meta`` — the table
+    of a composed schedule (scatter + allgather, reduce-scatter + gather)."""
+    def offsets(name):
+        counts = np.concatenate([np.diff(getattr(t, name)) for t in tables])
+        return _offsets(counts)
+
+    return TransferTable(
+        p=tables[0].p,
+        n_build=meta.get("n", tables[0].p),
+        meta=dict(meta),
+        step_off=offsets("step_off"),
+        local_off=offsets("local_off"),
+        **{
+            name: np.concatenate([getattr(t, name) for t in tables])
+            for name, _ in _TRANSFER_COLUMNS + _LOCAL_COLUMNS
+        },
+    )
+
+
 #: table memo — keyed per registry cell; bounded FIFO so 4096-rank tables
 #: cannot accumulate without limit.  ``None`` entries record constraint
 #: misses (pow2/divisibility) so they are not re-attempted.  The bound must
@@ -209,11 +286,15 @@ _TABLE_CACHE_MAX = 512
 def transfer_table_for(spec, p: int) -> TransferTable | None:
     """Cached :class:`TransferTable` for one ``(collective, algorithm, p)``.
 
-    Builds the schedule at the canonical size ``n = p`` with validation off
-    (the sweep's contract: it rebuilds schedules the test suite already
-    validates) and lowers it once; ``None`` when the builder rejects ``p``.
-    The table is topology- and mapping-independent, so every system /
-    placement / seed of a campaign shares one entry.  Eviction is FIFO at
+    The table of the schedule at the canonical size ``n = p``, built with
+    validation off (the sweep's contract: it rebuilds schedules the test
+    suite already validates); ``None`` when the builder rejects ``p``.
+    Entries with a columnar lowering (``spec.columnar``: the butterfly
+    families) emit the table directly — equal to lowering the built
+    schedule, without building one (``lower.columnar`` counts them); the
+    rest build the schedule and :func:`lower_schedule` it.  The table is
+    topology- and mapping-independent, so every system / placement / seed
+    of a campaign shares one entry.  Eviction is FIFO at
     ``_TABLE_CACHE_MAX``; :func:`clear_table_cache` (also reached via
     :func:`repro.analysis.sweep.clear_memo_caches`) drops everything.
     """
@@ -222,19 +303,26 @@ def transfer_table_for(spec, p: int) -> TransferTable | None:
         obs.inc("cache.table.hit")
         return _TABLE_CACHE[key]
     obs.inc("cache.table.miss")
+    table = schedule = None
     try:
         with obs.span(
             "schedule.build", collective=spec.collective, algorithm=spec.name, p=p
         ):
             with schedule_validation(False):
-                schedule = spec.build(p, p)
+                if spec.columnar is None:
+                    schedule = spec.build(p, p)
+                else:
+                    table = spec.columnar(p)
     except ValueError:
-        table = None
+        pass
     else:
-        with obs.span(
-            "lower.schedule", collective=spec.collective, algorithm=spec.name, p=p
-        ):
-            table = lower_schedule(schedule)
+        if schedule is None:
+            obs.inc("lower.columnar")
+        else:
+            with obs.span(
+                "lower.schedule", collective=spec.collective, algorithm=spec.name, p=p
+            ):
+                table = lower_schedule(schedule)
     while len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
         _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
     _TABLE_CACHE[key] = table

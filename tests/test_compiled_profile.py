@@ -15,15 +15,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.sweep import (
     ProfileCache,
     clear_memo_caches,
     sweep_system,
     sweep_torus,
 )
+from repro.collectives.butterfly_collectives import (
+    allgather_butterfly,
+    allgather_table,
+    allreduce_reduce_scatter_allgather,
+    allreduce_rsag_table,
+    reduce_scatter_butterfly,
+    reduce_scatter_table,
+)
+from repro.collectives.common import Strategy
 from repro.collectives.registry import ALGORITHMS, spec_for
+from repro.core.butterfly import (
+    Butterfly,
+    bine_butterfly_halving,
+    recursive_doubling_butterfly,
+    recursive_halving_butterfly,
+)
 from repro.model.analytic import ANALYTIC_PROFILES
 from repro.model.compiled import (
+    _TABLE_CACHE,
     CompiledRouteTable,
     _seq_sum,
     evaluate_grid,
@@ -34,6 +51,7 @@ from repro.model.compiled import (
     resolve_profile_engine,
     transfer_table_for,
 )
+from repro.runtime.errors import ScheduleError
 from repro.runtime.schedule import schedule_validation
 from repro.systems import fugaku, lumi
 from repro.systems.presets import PAPER_VECTOR_BYTES
@@ -356,6 +374,125 @@ class TestTransferTableMemo:
         for i, step in enumerate(sched.steps):
             lo, hi = table.local_off[i], table.local_off[i + 1]
             assert hi - lo == len(step.pre) + len(step.post)
+
+
+#: registry entries that emit their transfer table column by column
+COLUMNAR = sorted(key for key, spec in ALGORITHMS.items() if spec.columnar is not None)
+TABLE_COLUMNS = (
+    "step_off", "src", "dst", "nelems", "num_segments", "has_op",
+    "local_off", "local_rank", "local_nelems", "local_has_op",
+)
+
+
+def _assert_tables_equal(got, want, where):
+    assert (got.p, got.n_build) == (want.p, want.n_build), where
+    assert got.meta == want.meta and list(got.meta) == list(want.meta), where
+    for name in TABLE_COLUMNS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), (where, name)
+        assert np.array_equal(g, w), (where, name)
+
+
+def _lowered(spec, p):
+    with schedule_validation(False):
+        return lower_schedule(spec.build(p, p))
+
+
+class TestColumnarLowering:
+    """Columnar butterfly tables == lowering the object schedule, exactly."""
+
+    def test_every_butterfly_entry_is_columnar(self):
+        assert len(COLUMNAR) == 24
+        assert {coll for coll, _ in COLUMNAR} == {
+            "allgather", "reduce_scatter", "allreduce", "bcast", "reduce",
+        }
+
+    @pytest.mark.parametrize("p", [2, 4, 8, 16, 32, 64, 128, 256, 1024])
+    def test_equals_lowered_schedule(self, p):
+        clear_memo_caches()
+        for key in COLUMNAR:
+            spec = ALGORITHMS[key]
+            if spec.max_p is not None and p > spec.max_p:
+                continue
+            with schedule_validation(False):
+                got = spec.columnar(p)
+            _assert_tables_equal(got, _lowered(spec, p), (key, p))
+
+    @pytest.mark.parametrize("key", [("allreduce", "bine-rsag"), ("allgather", "bine-send")])
+    def test_single_segment_entries_at_4096(self, key):
+        spec = ALGORITHMS[key]
+        with schedule_validation(False):
+            got = spec.columnar(4096)
+        _assert_tables_equal(got, _lowered(spec, 4096), (key, 4096))
+
+    def test_transfer_table_for_skips_the_schedule(self):
+        clear_memo_caches()
+        spec = spec_for("allreduce", "bine-rsag")
+        table = transfer_table_for(spec, 64)
+        assert obs.counters().get("lower.columnar") == 1
+        _assert_tables_equal(table, _lowered(spec, 64), "bine-rsag")
+        assert transfer_table_for(spec, 64) is table  # memo hit, no new count
+        assert obs.counters().get("lower.columnar") == 1
+
+    @pytest.mark.parametrize("p", [17, 24])
+    def test_non_pow2_cached_as_none(self, p):
+        clear_memo_caches()
+        for key in COLUMNAR:
+            spec = ALGORITHMS[key]
+            assert transfer_table_for(spec, p) is None, key
+            assert _TABLE_CACHE[(*key, p)] is None
+        assert "lower.columnar" not in obs.counters()
+
+    def test_cold_rebuild_equal(self):
+        clear_memo_caches()
+        first = {key: transfer_table_for(ALGORITHMS[key], 32) for key in COLUMNAR}
+        clear_memo_caches()
+        for key in COLUMNAR:
+            rebuilt = transfer_table_for(ALGORITHMS[key], 32)
+            assert rebuilt is not first[key]
+            _assert_tables_equal(rebuilt, first[key], key)
+
+    @pytest.mark.parametrize(
+        "butterfly",
+        [recursive_halving_butterfly, recursive_doubling_butterfly, bine_butterfly_halving],
+    )
+    @pytest.mark.parametrize("strategy", [Strategy.SEND, Strategy.PERMUTE])
+    def test_same_errors_as_object_path(self, butterfly, strategy):
+        """π windows that are not contiguous fail the same way, naming the
+        same first rank and step."""
+        bf = butterfly(8)
+        pairs = (
+            (lambda: reduce_scatter_butterfly(bf, 8, "sum", strategy),
+             lambda: reduce_scatter_table(bf, "sum", strategy)),
+            (lambda: allgather_butterfly(bf, 8, strategy),
+             lambda: allgather_table(bf, strategy)),
+            (lambda: allreduce_reduce_scatter_allgather(bf, 8, "sum", strategy),
+             lambda: allreduce_rsag_table(bf, "sum", strategy)),
+        )
+        for build_schedule, build_table in pairs:
+            with pytest.raises(AssertionError) as want:
+                build_schedule()
+            with pytest.raises(AssertionError) as got:
+                build_table()
+            assert str(got.value) == str(want.value)
+
+    def test_self_transfer_rejected_like_object_path(self):
+        # not a matching: rank 1 is its own partner at step 1
+        bf = Butterfly(4, "rechalv", ((2, 3, 0, 1), (1, 1, 3, 2)))
+        try:
+            for build_schedule, build_table in (
+                (lambda: reduce_scatter_butterfly(bf, 4), lambda: reduce_scatter_table(bf)),
+                (lambda: allgather_butterfly(bf, 4), lambda: allgather_table(bf)),
+            ):
+                with pytest.raises(ScheduleError) as want:
+                    build_schedule()
+                with pytest.raises(ScheduleError) as got:
+                    build_table()
+                assert str(got.value) == str(want.value)
+        finally:
+            # the segment and statistics memos key on (kind, p): drop what
+            # this impostor "rechalv" butterfly left behind
+            clear_memo_caches()
 
 
 class TestEngineKnob:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.fastresp import resp_backend, sorted_runs
+from repro.collectives.common import global_pi
+from repro.collectives.fastresp import resp_backend, resp_stats, sorted_runs
 from repro.core.butterfly import (
     bine_butterfly_doubling,
     bine_butterfly_halving,
@@ -51,6 +52,31 @@ class TestFastResp:
         fast = resp_backend(bf)
         out = fast(123, 11)
         assert out.size == 2
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("p", [2, 4, 16, 64])
+    def test_stats_agree_with_materialized_sets(self, builder, p):
+        """Sizes, natural-layout runs and π-window contiguity per (step,
+        rank) equal those of the materialized responsibility sets."""
+        bf = builder(p)
+        stats = resp_stats(bf)
+        fast = resp_backend(bf)
+        pi = np.array(global_pi(p))
+        for r in range(p):
+            for j in range(bf.num_steps + 1):
+                blocks = fast(r, j)
+                window = pi[blocks]
+                assert stats.size[j, r] == blocks.size, (bf.kind, r, j)
+                assert stats.runs[j, r] == len(sorted_runs(blocks)), (bf.kind, r, j)
+                assert stats.pi_contiguous[j, r] == (
+                    window.max() - window.min() + 1 == blocks.size
+                ), (bf.kind, r, j)
+
+    def test_stats_memoized_per_kind_with_swing_aliased(self):
+        assert resp_stats(swing_butterfly(32)) is resp_stats(bine_butterfly_doubling(32))
+        assert resp_stats(bine_butterfly_halving(32)) is not resp_stats(
+            bine_butterfly_doubling(32)
+        )
 
     def test_sorted_runs(self):
         assert sorted_runs(np.array([0, 1, 2, 5, 6, 9])) == [(0, 3), (5, 7), (9, 10)]

@@ -25,6 +25,8 @@ from repro.collectives.ring import (
     ring_reduce_scatter,
 )
 from repro.collectives.verify import run_and_check
+from repro.core.blocks import CircularRange, Partition
+from repro.runtime.schedule import schedule_validation
 
 
 class TestRing:
@@ -80,6 +82,26 @@ class TestBruckAllgather:
     def test_sparbit_per_block(self):
         sched = allgather_sparbit(16, 32)
         assert max(t.num_segments for _, t in sched.all_transfers()) > 2
+
+    def test_bruck_segments_equal_sorted_block_runs(self):
+        """The O(1) circular-range segments equal coalescing the pulled
+        blocks through ``Partition.segments``, for every round and source —
+        including ``n < p``, where empty blocks make the two runs touch."""
+        for p in range(1, 131):
+            for n in sorted({0, 1, p - 1, p, p + 3, 4 * p}):
+                part = Partition(n, p)
+                with schedule_validation(False):
+                    sched = allgather_bruck(p, n)
+                held = 1
+                for step in sched.steps:
+                    c = min(held, p - held)  # blocks pulled this round
+                    for r, t in enumerate(step.transfers):
+                        assert (t.src, t.dst) == ((r + held) % p, r)
+                        blocks = CircularRange(t.src, c, p).indices()
+                        want = tuple(part.segments(blocks))
+                        assert t.src_segments == want, (p, n, t.src, c)
+                    held += c
+                assert held >= p
 
 
 class TestAlltoall:
