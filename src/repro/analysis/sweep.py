@@ -132,6 +132,7 @@ def memo_cache_registry() -> dict[str, tuple]:
     from repro.collectives import verify as _verify
     from repro.core import bine_tree as _bine
     from repro.core import negabinary as _nb
+    from repro.des import engine as _des_engine
     from repro.des import records as _des_records
     from repro.model import compiled as _compiled
     from repro.obs import metrics as _metrics
@@ -156,6 +157,7 @@ def memo_cache_registry() -> dict[str, tuple]:
         "compiled._TABLE_CACHE": table(_compiled._TABLE_CACHE),
         "tune.serve._SERVE_CACHE": table(_serve._SERVE_CACHE),
         "des.records._SIM_CACHE": table(_des_records._SIM_CACHE),
+        "des.engine._FABRIC_CACHE": table(_des_engine._FABRIC_CACHE),
         "obs.metrics": (_metrics.active_series, _metrics.reset),
     }
 

@@ -7,11 +7,18 @@ and background traffic.  See ``docs/robustness.md`` for the engine model
 and the calibration contract against the analytic engine.
 """
 
-from repro.des.engine import FabricState, SimResult, StallRecord, simulate_profile
+from repro.des.engine import (
+    FabricState,
+    FlowProgram,
+    SimResult,
+    StallRecord,
+    simulate_profile,
+)
 from repro.des.records import des_records
 
 __all__ = [
     "FabricState",
+    "FlowProgram",
     "SimResult",
     "StallRecord",
     "simulate_profile",

@@ -28,7 +28,7 @@ import warnings
 from typing import Sequence
 
 from repro import obs
-from repro.des.engine import simulate_profile
+from repro.des.engine import FlowProgram, simulate_profile
 from repro.model.analytic import ANALYTIC_PROFILES, ANALYTIC_THRESHOLD
 from repro.model.compiled import transfer_table_for
 from repro.model.cost import CostParams
@@ -90,6 +90,7 @@ def des_records(
     mdigest = hashlib.sha1(repr(mapping.nodes).encode()).hexdigest()[:12]
     pdigest = _params_digest(params)
     global_elems = profile.total_global_elems()
+    program = None  # built on the first simulated size, shared by the rest
     records = []
     for nb in vector_bytes:
         key = (
@@ -101,9 +102,13 @@ def des_records(
         hit = _SIM_CACHE.get(key)
         if hit is None:
             obs.inc("cache.sim.miss")
+            if program is None:
+                program = FlowProgram(
+                    table, cache.topo, mapping, routes=cache.routes
+                )
             result = simulate_profile(
                 table, profile, cache.topo, mapping, params, timeline,
-                nb / params.itemsize,
+                nb / params.itemsize, program=program,
             )
             if result.stalled:
                 first = result.stalls[0]

@@ -394,6 +394,8 @@ class CompiledRouteTable:
         self._num_nodes = topo.num_nodes
         self._pair_pid: dict[int, int] = {}
         self._link_ids: dict[tuple, int] = {}
+        #: interned link keys by link id
+        self.link_keys: list[tuple] = []
         self._cls_ids: dict[str, int] = {}
         self.cls_names: list[str] = []
         #: per-pair hop signatures, interned: ``sig_tuples[sig_id]`` is the
@@ -426,22 +428,14 @@ class CompiledRouteTable:
         """
         n = self._num_nodes
         routes = [self.topo.route(k // n, k % n) for k in keys]
-        link_ids, cls_ids = self._link_ids, self._cls_ids
         link_col: list[int] = []
         width_col: list[float] = []
         cls_col: list[int] = []
         for route in routes:
-            for link in route:
-                li = link_ids.get(link.key)
-                if li is None:
-                    li = link_ids[link.key] = len(link_ids)
-                ci = cls_ids.get(link.cls)
-                if ci is None:
-                    ci = cls_ids[link.cls] = len(cls_ids)
-                    self.cls_names.append(link.cls)
-                link_col.append(li)
-                width_col.append(link.width)
-                cls_col.append(ci)
+            ids, classes = self.intern_links(route)
+            link_col.extend(ids)
+            cls_col.extend(classes)
+            width_col.extend(link.width for link in route)
 
         m = len(keys)
         n_cls = len(self.cls_names)
@@ -487,6 +481,43 @@ class CompiledRouteTable:
         self._hops[p0:p1] = hops
         self._pair_pid.update(zip(keys, range(p0, p1)))
         self._num_pairs, self._num_rows = p1, r1
+
+    def intern_links(self, links) -> tuple[list[int], list[int]]:
+        """Link ids and class ids of ``links``, interning unseen ones.
+
+        Pair routes intern their links through here; the DES engine also
+        interns the links of mid-run detours, which no pair route holds.
+        """
+        link_ids, cls_ids = self._link_ids, self._cls_ids
+        ids: list[int] = []
+        classes: list[int] = []
+        for link in links:
+            li = link_ids.get(link.key)
+            if li is None:
+                li = link_ids[link.key] = len(link_ids)
+                self.link_keys.append(link.key)
+            ci = cls_ids.get(link.cls)
+            if ci is None:
+                ci = cls_ids[link.cls] = len(cls_ids)
+                self.cls_names.append(link.cls)
+            ids.append(li)
+            classes.append(ci)
+        return ids, classes
+
+    def link_id(self, key: tuple) -> int:
+        """Interned id of link ``key``, or -1 when no route holds it."""
+        return self._link_ids.get(key, -1)
+
+    def route_rows(self, pids: np.ndarray):
+        """Routes of pairs ``pids`` as flat rows, in pair order.
+
+        Returns per-pair row counts and NIC flags, then per-row link ids,
+        widths and class ids.
+        """
+        csr = self._csr()
+        counts = csr.off[pids + 1] - csr.off[pids]
+        rows = _expand_rows(csr.off[pids], counts)
+        return counts, csr.nic[pids], csr.link[rows], csr.width[rows], csr.cls[rows]
 
     def resolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pair ids for node arrays ``a → b``, interning unseen pairs."""
@@ -605,12 +636,9 @@ class CompiledRouteTable:
             # per-link loads: expand each transfer's route rows in transfer
             # order — the same concatenation the scalar oracle builds — then
             # accumulate with the same unbuffered np.add.at
-            counts = csr.off[pids + 1] - csr.off[pids]
+            counts, _, cat_idx, width, cat_cls = self.route_rows(pids)
             if counts.sum():
-                rows = _expand_rows(csr.off[pids], counts)
-                cat_idx = csr.link[rows]
-                cat_contrib = np.repeat(ne, counts) / csr.width[rows]
-                cat_cls = csr.cls[rows]
+                cat_contrib = np.repeat(ne, counts) / width
                 uniq, local = np.unique(cat_idx, return_inverse=True)
                 loads = np.zeros(uniq.size, dtype=np.float64)
                 np.add.at(loads, local, cat_contrib)

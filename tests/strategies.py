@@ -141,6 +141,57 @@ def timeline(rng: random.Random, *, max_events: int = 4) -> FaultTimeline:
     return FaultTimeline(tuple(timeline_event(rng, at) for at in sorted(ats)))
 
 
+#: what a DES oracle timeline perturbs (see :func:`des_timeline`)
+DES_TIMELINE_KINDS = ("links", "stalls")
+
+
+def des_timeline(rng: random.Random, kind: str, *, events: int = 4) -> FaultTimeline:
+    """A timeline whose events land *inside* collective runs.
+
+    Event times are log-uniform over ``[1e-7, 1e-2]`` s, so runs from a
+    few microseconds (KiB vectors) to milliseconds (MiB vectors) all see
+    events fire mid-phase.  ``kind`` picks the damage:
+
+    * ``"links"`` — global links fail (``links=K``) and heal;
+    * ``"stalls"`` — background traffic, class derates, NIC outages and
+      node failures, up to most of the machine, so in-flight flows lose
+      their endpoints and stall; ``heal`` events of any target.
+    """
+    ats: set[float] = set()
+    while len(ats) < events:
+        ats.add(float(f"{10 ** rng.uniform(-7, -2):.4g}"))
+    out = []
+    for at in sorted(ats):
+        if kind == "links":
+            if rng.random() < 0.3:
+                event = TimelineEvent(at=at, heal="links")
+            else:
+                event = TimelineEvent(
+                    at=at, links=rng.randint(4, 40), seed=rng.randint(0, 99)
+                )
+        else:
+            shape = rng.choice(("background", "derate", "nics", "nodes", "heal"))
+            if shape == "background":
+                event = TimelineEvent(at=at, background=rng.choice((0.25, 0.5, 0.9)))
+            elif shape == "derate":
+                event = TimelineEvent(at=at, derate={
+                    rng.choice(("local", "global")): rng.choice((0.25, 0.5))
+                })
+            elif shape == "nics":
+                event = TimelineEvent(
+                    at=at, nics=rng.randint(1, 64), seed=rng.randint(0, 99)
+                )
+            elif shape == "nodes":
+                event = TimelineEvent(
+                    at=at, nodes=rng.choice((1, 100, 700)),
+                    seed=rng.randint(0, 99),
+                )
+            else:
+                event = TimelineEvent(at=at, heal=rng.choice(HEAL_TARGETS))
+        out.append(event)
+    return FaultTimeline(tuple(out))
+
+
 def shuffled(items: Sequence[T], rng: random.Random) -> list[T]:
     """An independently shuffled copy (the metamorphic transform)."""
     out = list(items)

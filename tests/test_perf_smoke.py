@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.sweep import clear_memo_caches, sweep_system
+from repro.analysis.sweep import ProfileCache, clear_memo_caches, sweep_system
 from repro.collectives.butterfly_collectives import allgather_butterfly
-from repro.collectives.registry import build
+from repro.collectives.registry import build, spec_for
 from repro.collectives.verify import check, init_buffers, run_and_check_compiled
 from repro.core.butterfly import bine_butterfly_doubling
+from repro.des import records as des_records
+from repro.faults import FaultSpec
 from repro.model.analytic import pairwise_alltoall_profile
 from repro.model.compiled import CompiledRouteTable, profile_schedule
 from repro.runtime.compiled import compile_plan
@@ -28,6 +30,9 @@ from repro.topology.mapping import block_mapping
 BUDGET_S = 5.0
 #: route-interning ceiling for the p=1024 pairwise alltoall cell
 ROUTE_BUDGET_S = 1.5
+#: DES cell ceiling: about three times the phase drain's time for the cell
+#: (5.5 ms on a 2-vCPU Xeon box; the per-entry event heap took 34 ms)
+DES_CELL_BUDGET_S = 0.016
 
 
 def test_256_rank_allgather_build_profile_under_budget():
@@ -129,4 +134,33 @@ def test_1024_rank_pairwise_alltoall_routing_under_budget():
     assert len(routes) > 30_000
     assert elapsed < ROUTE_BUDGET_S, (
         f"pairwise alltoall p=1024 took {elapsed:.2f}s (budget {ROUTE_BUDGET_S}s)"
+    )
+
+
+def test_des_timeline_cell_under_budget():
+    """One DES sweep cell — allgather Bine at p=128, 16 MiB, with four
+    global links failing at 100 µs and healing at 20 ms — simulated over a
+    warm profile cache, best of five.  The per-entry event heap pushed and
+    popped one event per (flow, resource) entry and took several times
+    the ceiling; the phase drain computes each queue's finish times as one
+    running sum.
+    """
+    preset = lumi()
+    cache = ProfileCache(
+        preset, profile_engine="des",
+        faults=FaultSpec(timeline="at=0.0001:links=4,seed=9;at=0.02:heal=links"),
+    )
+    spec = spec_for("allgather", "bine-send")
+    profile = cache.get(spec, 128)
+    best = float("inf")
+    for _ in range(5):
+        des_records._SIM_CACHE.clear()
+        t0 = time.perf_counter()
+        (record,) = des_records.des_records(
+            cache, preset.name, spec, 128, (16777216,), preset.params, 1, profile
+        )
+        best = min(best, time.perf_counter() - t0)
+    assert not record.stalled
+    assert best < DES_CELL_BUDGET_S, (
+        f"DES cell took {best * 1e3:.1f} ms (budget {DES_CELL_BUDGET_S * 1e3:.0f} ms)"
     )

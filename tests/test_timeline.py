@@ -5,7 +5,14 @@
   matters, duplicate event times are rejected, invalid events fail loudly.
 * Calibration contract: with an empty timeline the DES engine's sweep
   records are **exactly** equal — bit for bit — to the compiled analytic
-  engine's, on both the calm fast path and the forced event-loop path.
+  engine's, on both the calm fast path and the forced phase drain (every
+  registry algorithm with a lowered table); healing everything at t=0, or
+  a timeline that fires only after the run, changes nothing but the label.
+* Oracle gate: the array phase drain equals the per-entry event heap of
+  ``tests/oracle_des.py`` — times, stalls and tallies — over seeded
+  timelines (link failures and heals; background, derates, NIC outages
+  and node failures; static plus dynamic faults), an event tied with a
+  finish time, and a rate factor that underflows to zero.
 * Determinism: timeline runs reproduce across processes-worth of reruns,
   and parallel sharding is byte-identical to serial.
 * Partition semantics: a timeline that cuts off in-flight flows yields
@@ -21,25 +28,29 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
+from collections import Counter
 
+import numpy as np
 import pytest
-from strategies import rng_for, timeline
+from oracle_des import engine_run, oracle_run
+from strategies import DES_TIMELINE_KINDS, des_timeline, rank_map, rng_for, timeline
 
-from repro.analysis.sweep import (
-    _CACHE_MAGIC,
-    ProfileCache,
-    clear_memo_caches,
-    sweep_system,
-)
+from repro.analysis.sweep import _CACHE_MAGIC, clear_memo_caches, sweep_system
 from repro.cli.formatters import records_json
 from repro.cli.main import main
 from repro.cli.manifest import ManifestError, manifest_from_dict, manifest_to_dict
-from repro.collectives.registry import spec_for
-from repro.des import simulate_profile
-from repro.faults import FaultSpec, FaultTimeline, TimelineEvent
-from repro.model.compiled import transfer_table_for
+from repro.collectives.registry import ALGORITHMS, spec_for
+from repro.des import FlowProgram, simulate_profile
+from repro.des.engine import _queue_sums, _Simulation
+from repro.faults import DegradedTopology, FaultSpec, FaultTimeline, TimelineEvent
+from repro.model.compiled import (
+    CompiledRouteTable,
+    profile_table,
+    transfer_table_for,
+)
 from repro.runtime.errors import DESEngineError, FaultSpecError
 from repro.systems import lumi
+from repro.topology.mapping import block_mapping
 
 
 class TestTimelineGrammar:
@@ -116,21 +127,190 @@ class TestCalibration:
         assert compiled  # a vacuous grid would prove nothing
         assert des == compiled
 
-    def test_event_loop_exactly_equals_fast_path(self):
+    @pytest.mark.parametrize("ppn", (1, 2))
+    def test_event_loop_exactly_equals_fast_path(self, ppn):
         preset = lumi()
-        cache = ProfileCache(preset, profile_engine="des")
-        spec = spec_for("bcast", "bine")
-        profile = cache.get(spec, 16)
-        table = transfer_table_for(spec, 16)
-        mapping = cache.mapping_for(16, 1)
-        for nb in (1024, 65536, 16777216):
-            n_elems = nb / preset.params.itemsize
-            args = (table, profile, cache.topo, mapping, preset.params,
-                    FaultTimeline(), n_elems)
-            fast = simulate_profile(*args)
-            slow = simulate_profile(*args, force_event_loop=True)
-            assert not fast.stalled and not slow.stalled
-            assert slow.time == fast.time
+        topo = preset.build_topology()
+        checked = 0
+        for cell in lowered_cells(topo, (16, 17, 64), ppn, rng_for(ppn)):
+            spec, p, table, mapping, profile, program = cell
+            for nb in SIZES:
+                args = (table, profile, topo, mapping, preset.params,
+                        FaultTimeline(), nb / preset.params.itemsize)
+                fast = simulate_profile(*args)
+                slow = simulate_profile(
+                    *args, force_event_loop=True, program=program
+                )
+                assert not fast.stalled and not slow.stalled
+                assert slow.time == fast.time, (spec.collective, spec.name, p, nb)
+                checked += 1
+        assert checked > 250  # ~100 lowered (algorithm, p) cells x 3 sizes
+
+    def test_heal_all_at_zero_gives_calm_records(self):
+        calm = sweep_system(lumi(), profile_engine="des", **CALIBRATION_GRID)
+        tl = FaultTimeline.parse("at=0:heal=all")
+        healed = sweep_system(lumi(), profile_engine="des",
+                              faults=FaultSpec(timeline=tl), **CALIBRATION_GRID)
+        assert {r.timeline for r in healed} == {tl.label}
+        assert [dataclasses.replace(r, timeline="none") for r in healed] == calm
+
+    def test_events_after_the_run_give_calm_records(self):
+        calm = sweep_system(lumi(), profile_engine="des", **CALIBRATION_GRID)
+        late = 2 * max(r.time for r in calm)
+        tl = FaultTimeline.parse(
+            f"at={late!r}:links=8,seed=3;at={2 * late!r}:background=0.5"
+        )
+        after = sweep_system(lumi(), profile_engine="des",
+                             faults=FaultSpec(timeline=tl), **CALIBRATION_GRID)
+        assert [dataclasses.replace(r, timeline="none") for r in after] == calm
+
+
+#: vector sizes of the DES cell grids: KiB phases drain in microseconds,
+#: 16 MiB phases in milliseconds, so seeded event times hit both
+SIZES = (1024, 65536, 16777216)
+
+
+def lowered_cells(topo, node_counts, ppn, rng):
+    """``(spec, p, table, mapping, profile, program)`` for every registry
+    algorithm with a lowered table at each ``p``, on scattered mappings
+    (a non-multiple ``p`` leaves the last node part-filled)."""
+    routes = CompiledRouteTable(topo)
+    for _, spec in sorted(ALGORITHMS.items()):
+        for p in node_counts:
+            table = transfer_table_for(spec, p)
+            if table is None:
+                continue
+            mapping = rank_map(rng, topo.num_nodes, p, ppn)
+            yield (
+                spec, p, table, mapping,
+                profile_table(table, topo, mapping, routes=routes),
+                FlowProgram(table, topo, mapping, routes=routes),
+            )
+
+
+#: scenario -> (static fault spec, timeline kind; None draws one per cell)
+ORACLE_SCENARIOS = {
+    "links": (None, "links"),
+    "stalls": (None, "stalls"),
+    "static+dynamic": ("links=2,nics=2,seed=13", None),
+}
+
+
+class TestDrainMatchesOracle:
+    """The array phase drain reproduces the per-entry event heap bit for
+    bit: ``SimResult`` (time, stalled, stalls) and the tallies (events
+    processed, preemptions, reroutes)."""
+
+    @pytest.mark.parametrize("ppn", (1, 2))
+    @pytest.mark.parametrize("scenario", sorted(ORACLE_SCENARIOS))
+    def test_registry_grid(self, scenario, ppn):
+        static, kind = ORACLE_SCENARIOS[scenario]
+        preset = lumi()
+        topo = preset.build_topology()
+        if static:
+            topo = DegradedTopology(topo, FaultSpec.parse(static))
+        rng = rng_for(100 * sorted(ORACLE_SCENARIOS).index(scenario) + ppn)
+        seen: Counter = Counter()
+        for cell in lowered_cells(topo, (8, 16, 17, 64), ppn, rng):
+            spec, p, table, mapping, profile, program = cell
+            tl = des_timeline(rng, kind or rng.choice(DES_TIMELINE_KINDS))
+            for nb in SIZES:
+                args = (table, profile, topo, mapping, preset.params, tl,
+                        nb / preset.params.itemsize)
+                want = oracle_run(*args)
+                got = engine_run(*args, program=program)
+                assert got == want, (spec.collective, spec.name, p, nb, tl.label)
+                result, (events, preemptions, reroutes) = got
+                seen.update(events=events, preemptions=preemptions,
+                            reroutes=reroutes, stalled=result.stalled)
+        # the grid genuinely drives every mid-phase path
+        assert seen["preemptions"]
+        if kind != "stalls":
+            assert seen["reroutes"]
+        if kind != "links":
+            assert seen["stalled"]
+
+    @pytest.mark.parametrize("lens", ([2] * 60, [700] + [1, 3] * 30))
+    def test_queue_sums_add_left_to_right(self, lens):
+        # FIFO finish times are running sums per queue; float addition is
+        # not associative, so only strict left-to-right order matches the
+        # heap.  Short queues sum as a padded matrix; one long queue among
+        # short ones is summed position by position.
+        rng = rng_for(len(lens))
+        head = np.zeros(sum(lens), dtype=bool)
+        head[np.cumsum([0] + lens[:-1])] = True
+        values = [rng.uniform(1e-9, 1e-3) for _ in range(head.size)]
+        want, acc = [], 0.0
+        for v, starts_queue in zip(values, head):
+            acc = v if starts_queue else acc + v
+            want.append(acc)
+        assert _queue_sums(head, np.array(values)).tolist() == want
+
+    @staticmethod
+    def _tie_cell():
+        """A binomial bcast at p=8: step 0 is one inter-node flow."""
+        preset = lumi()
+        topo = preset.build_topology()
+        table = transfer_table_for(spec_for("bcast", "binomial-dh"), 8)
+        assert table.step_off[1] == 1
+        mapping = block_mapping(8)
+        profile = profile_table(table, topo, mapping)
+        return preset.params, (table, profile, topo, mapping)
+
+    @staticmethod
+    def _phase_starts(cell, params, n_elems) -> list[float]:
+        starts: list[float] = []
+
+        class Probe(_Simulation):
+            def _drain_phase(self, s, t0):
+                starts.append(t0)
+                return super()._drain_phase(s, t0)
+
+        Probe(*cell, params, FaultTimeline(), n_elems, force_event_loop=True).run()
+        return starts
+
+    def test_event_exactly_on_a_finish_time(self):
+        params, cell = self._tie_cell()
+        table, profile = cell[:2]
+        n_elems = 65536 / params.itemsize
+        t0 = self._phase_starts(cell, params, n_elems)[0]
+        # the flow's injection and ejection ports finish at t0 + ne * cunit
+        # (rate factor 1.0)
+        ports = min(params.ports, int(profile.meta.get("ports_used", 1)))
+        cunit = n_elems / profile.n_build * params.itemsize * params.inj_beta / ports
+        finish = t0 + float(table.nelems[0]) * cunit
+        preempted = {}
+        for name, at in (("before", np.nextafter(finish, 0.0)),
+                         ("tie", finish),
+                         ("after", np.nextafter(finish, np.inf))):
+            # the calm fast path would settle the phase unsimulated: a tied
+            # event lands exactly at t0 + bw
+            args = (*cell, params,
+                    FaultTimeline((TimelineEvent(at=float(at), background=0.5),)),
+                    n_elems)
+            got = engine_run(*args, force_event_loop=True)
+            assert got == oracle_run(*args, force_event_loop=True), name
+            preempted[name] = got[1][1]
+        # the ports (and the one link, which ties with them) finish last: a
+        # tied event fires first and its rate change preempts all three;
+        # one ulp later the phase has drained and the event waits
+        assert preempted["tie"] == preempted["before"] == 3
+        assert preempted["after"] == 0
+
+    def test_zero_rate_factor_raises_like_the_oracle(self):
+        params, cell = self._tie_cell()
+        n_elems = 65536 / params.itemsize
+        mid = self._phase_starts(cell, params, n_elems)[0] * 1.01
+        # a denormal derate times background traffic underflows to zero,
+        # before the first phase or while its flows are in service
+        for text in ("at=0:local=5e-324;at=1e-15:background=0.5",
+                     f"at=0:background=0.5;at={mid!r}:local=5e-324"):
+            tl = FaultTimeline.parse(text)
+            with pytest.raises(DESEngineError, match="underflowed") as want:
+                oracle_run(*cell, params, tl, n_elems)
+            with pytest.raises(DESEngineError, match="underflowed") as got:
+                engine_run(*cell, params, tl, n_elems)
+            assert str(got.value) == str(want.value)
 
 
 #: background traffic claims half of *every* link for a window — perturbs
